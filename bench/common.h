@@ -138,9 +138,6 @@ inline ShootdownMaskMode ParseShootdownMode(const char* s, ShootdownMaskMode fal
   if (mode == "broadcast") {
     return ShootdownMaskMode::kBroadcast;
   }
-  if (mode == "mask") {
-    return ShootdownMaskMode::kMask;
-  }
   if (mode == "mask+gen" || mode == "maskgen" || mode == "mask_gen") {
     return ShootdownMaskMode::kMaskGen;
   }
@@ -155,7 +152,7 @@ inline ShootdownMaskMode ParseShootdownMode(const char* s, ShootdownMaskMode fal
 // matching the library default; set AQUILA_ASYNC_WRITEBACK=1 to turn it on
 // for any benchmark, and AQUILA_ASYNC_QUEUE_DEPTH=<n> to size the
 // per-mapping device queue (default 32). AQUILA_SHOOTDOWN_MODE
-// (broadcast|mask|mask+gen|reuse) overrides the shootdown IPI targeting
+// (broadcast|mask+gen|reuse) overrides the shootdown IPI targeting
 // policy (default mask+gen, the library default; reuse adds the deferred
 // same-owner elision of DESIGN.md §10). Observability knobs:
 // AQUILA_SPAN_SAMPLE=<n> samples 1-in-n requests into the span collector,

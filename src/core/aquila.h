@@ -102,9 +102,9 @@ class Aquila : public MmioEngine {
     // Cores participating in shootdowns; defaults to all registered cores.
     int active_cores = 0;
     // IPI targeting for shootdown batches (DESIGN.md §10): kBroadcast sends
-    // to every active core (paper §4.1 baseline); kMask skips cores with no
-    // bit in the victims' Frame::cpu_mask; kMaskGen additionally skips cores
-    // whose whole TLB was flushed after the page's last insert; kReuseElide
+    // to every active core (paper §4.1 baseline); kMaskGen skips cores with
+    // no bit in the victims' Frame::cpu_mask and cores whose whole TLB was
+    // flushed after the page's last insert; kReuseElide
     // additionally DEFERS the shootdown for clean evicted pages — if the
     // frame returns to the same (region, page) before any other use, the
     // flush is skipped outright; any cross-owner handout executes it

@@ -122,7 +122,7 @@ Status AquilaMap::TearDown() {
     if (f.dirty.load(std::memory_order_relaxed) != 0) {
       cache.ClearDirty(frame);
       planner.Add(WritebackItem{SortKey(i * kPageSize), i * kPageSize,
-                                cache.FrameData(vcpu, frame), backing_, frame, this});
+                                cache.FrameData(vcpu, frame), frame, this});
     }
     frames.push_back(frame);
   }
@@ -759,7 +759,6 @@ StatusOr<size_t> AquilaMap::EvictBatch(Vcpu& vcpu) {
   AQUILA_TELEMETRY_ONLY(const uint64_t evict_start = vcpu.clock().Now());
   // One child for the whole batch; writeback/shootdown below nest under it.
   telemetry::ChildSpan evict_span(vcpu.clock(), telemetry::SpanPhase::kEvict);
-  const bool async = runtime_->options().async_writeback;
 
   std::vector<FrameId> victims(cache.eviction_batch());
   size_t n;
@@ -771,13 +770,9 @@ StatusOr<size_t> AquilaMap::EvictBatch(Vcpu& vcpu) {
     return size_t{0};
   }
 
-  WritebackPlanner planner;
-  std::vector<uint64_t> locked_dirty_pages;
-  std::vector<PageShootdown> vpns;
-  std::vector<FrameId> to_free;
-  vpns.reserve(n);
-  to_free.reserve(n);
-
+  ReclaimBatch batch;
+  batch.vpns.reserve(n);
+  batch.to_free.reserve(n);
   {
     ScopedMeasure measure(vcpu.clock(), CostCategory::kCacheMgmt);
     for (size_t i = 0; i < n; i++) {
@@ -788,128 +783,112 @@ StatusOr<size_t> AquilaMap::EvictBatch(Vcpu& vcpu) {
       // below are the published values; we own them until the frame is
       // freed or republished.
       uint64_t vaddr = f.vaddr.load(std::memory_order_relaxed);
-      uint64_t fkey = f.key.load(std::memory_order_relaxed);
       uint64_t page = vaddr >> kPageShift;
+      if (vaddr == 0) {
+        // Read-ahead page with no translation yet: evictable without a
+        // lock or a shootdown.
+        cache.RemoveMapping(f.key.load(std::memory_order_relaxed));
+        batch.to_free.push_back(ReclaimedFrame{frame, ReuseStamp{}});
+        continue;
+      }
       Vma* vma;
-      if (vaddr == 0 || !runtime_->vma_tree().TryLockEntry(page, &vma)) {
-        // Read-ahead frame with no translation yet, or a fault in flight on
-        // that page: give it a second chance.
-        if (vaddr == 0) {
-          // Read-ahead page: evictable without a translation or a lock.
-          cache.RemoveMapping(fkey);
-          to_free.push_back(frame);
-          continue;
-        }
+      if (!runtime_->vma_tree().TryLockEntry(page, &vma)) {
+        // A fault in flight on that page: give it a second chance.
         f.referenced.store(1, std::memory_order_relaxed);
         f.state.store(FrameState::kResident, std::memory_order_release);
         continue;
       }
-      auto* owner = static_cast<AquilaMap*>(vma->backing);
-      if (owner->spans_ != nullptr) {
-        // Demote-before-sweep: Remove() refuses to descend through a 2 MB
-        // leaf, so evicting a huge-covered page without splitting first
-        // would free the frame while its translation stays live.
-        owner->DemoteSpanForPage(vcpu, page - owner->vma_.start_page);
-      }
-      uint64_t old_pte = runtime_->page_table().Remove(vaddr);
-      if (owner->spans_ != nullptr && Pte::Present(old_pte)) {
-        owner->NotePteRemoved(page - owner->vma_.start_page);
-      }
-      if (owner->transparent_base_ != nullptr) {
-        TrapDriver::RemoveRealMapping(vaddr);
-      }
-      // Unified capture rule (CaptureShootdownPage): frame claimed
-      // (kEvicting) and entry lock held, PTE removed above — after this
-      // point a completion or FreeFrame may recycle the frame, so the
-      // routing state must travel with the batch (or the deferral).
-      PageShootdown captured = CaptureShootdownPage(f, page);
-      if (f.dirty.load(std::memory_order_relaxed) != 0) {
-        vpns.push_back(captured);
-        cache.ClearDirty(frame);
-        uint64_t file_offset = FilePageOfKey(fkey) * kPageSize;
-        planner.Add(WritebackItem{f.dirty_item.sort_key, file_offset,
-                                  cache.FrameData(vcpu, frame), owner->backing_, frame,
-                                  owner});
-        if (async) {
-          // Async claim: the cache mapping stays so a faulter finds the frame
-          // and waits out kWritingBack instead of re-reading a page the
-          // device has not acknowledged. The entry lock drops now — the
-          // state alone guards the frame until its completion reaps.
-          f.state.store(FrameState::kWritingBack, std::memory_order_release);
-          UnlockPage(page);
-        } else {
-          cache.RemoveMapping(fkey);
-          locked_dirty_pages.push_back(page);  // stays locked until written
-        }
-      } else {
-        // Clean page: stays on the batched shootdown even under kReuseElide.
-        // Bulk eviction recycles frames across owners almost always once
-        // several cores churn, so deferring here trades the batch clamp
-        // (~tlb_full_flush amortized over the whole batch) for one retail
-        // invalidate/IPI per recycled frame — measured as a net loss beyond
-        // a few cores. The deferral is scoped to Advise(kDontNeed), where a
-        // discard-then-retouch by the same owner is the expected pattern
-        // (DESIGN.md §10).
-        cache.RemoveMapping(fkey);
-        vpns.push_back(captured);
-        UnlockPage(page);
-        to_free.push_back(frame);
-      }
+      // Clean victims stay on the batched shootdown even under kReuseElide.
+      // Bulk eviction recycles frames across owners almost always once
+      // several cores churn, so deferring here trades the batch clamp
+      // (~tlb_full_flush amortized over the whole batch) for one retail
+      // invalidate/IPI per recycled frame — measured as a net loss beyond a
+      // few cores. The deferral is scoped to Advise(kDontNeed), where a
+      // discard-then-retouch by the same owner is the expected pattern
+      // (DESIGN.md §10).
+      static_cast<AquilaMap*>(vma->backing)
+          ->ReclaimPage(vcpu, frame, page, /*defer_clean=*/false, &batch);
     }
   }
 
-  if (!planner.empty()) {
+  if (!batch.planner.empty()) {
     telemetry::ChildSpan wb_span(vcpu.clock(), telemetry::SpanPhase::kWriteback,
-                                 planner.size());
-    if (async) {
-      // Submit the offset-sorted batch: the device works while fault
-      // handling continues; completions reap on later faults (or in
-      // HarvestAsyncWritebacks when allocation stalls). A submission-
-      // machinery rejection is not a fault error: SubmitAsync already
-      // restored every rejected frame dirty-in-place and charged its owner,
-      // so the round just makes less progress — and the shootdown plus
-      // clean-frame release below must still run, because every victim's
-      // PTE (clean or dirty, submitted or restored) is already gone.
-      (void)planner.SubmitAsync(vcpu);
-    } else {
-      Status status = planner.SubmitSync(vcpu);
-      NoteWritebackResult(status);
-      if (status.ok()) {
-        stats.writeback_pages.fetch_add(planner.size(), std::memory_order_relaxed);
-        for (const WritebackItem& item : planner.items()) {
-          to_free.push_back(item.frame);
-        }
-      } else {
-        // The device rejected the batch even after its retry budget. The
-        // victims return to the cache dirty; eviction makes less progress
-        // this round and the fault path may retry with other victims.
-        // (Degradation is charged to the mapping driving the eviction, like
-        // reclaim-context EIO on Linux.)
-        for (const WritebackItem& item : planner.items()) {
-          RestoreDirtyFrame(vcpu, item.frame, item.sort_key, /*reinsert_mapping=*/true);
-        }
-      }
-      for (uint64_t page : locked_dirty_pages) {
-        UnlockPage(page);
-      }
-    }
+                                 batch.planner.size());
+    // Dirty victims go to the device while fault handling continues (async)
+    // or before it does (sync). A failure is not a fault error: the planner
+    // already charged each failing owner and restored its pages dirty, so
+    // the round just makes less progress — and the shootdown plus release
+    // below must still run, because every victim's PTE is already gone.
+    (void)batch.planner.SubmitReclaim(vcpu, &batch.to_free);
   }
 
-  // One batched shootdown for the whole eviction (§4.1); the masked path
-  // splits it into per-victim-core coalesced IPIs and elides cores that
-  // never mapped any page of the batch.
-  runtime_->ShootdownPages(vcpu, vpns);
-
-  int core = vcpu.core();
-  for (FrameId frame : to_free) {
-    cache.FreeFrame(core, frame);
-  }
-  stats.evicted_pages.fetch_add(to_free.size(), std::memory_order_relaxed);
-  evict_span.set_arg(to_free.size());
+  size_t freed = FinishReclaim(vcpu, batch);
+  stats.evicted_pages.fetch_add(freed, std::memory_order_relaxed);
+  evict_span.set_arg(freed);
   AQUILA_TELEMETRY_ONLY(telemetry::RecordSpanSince(GetFaultMetrics().evict_batch,
                                                    telemetry::TraceEventType::kEvictBatch,
-                                                   vcpu.clock(), evict_start, to_free.size()));
-  return to_free.size();
+                                                   vcpu.clock(), evict_start, freed));
+  return freed;
+}
+
+void AquilaMap::ReclaimPage(Vcpu& vcpu, FrameId frame, uint64_t page, bool defer_clean,
+                            ReclaimBatch* batch) {
+  PageCache& cache = runtime_->cache();
+  Frame& f = cache.frame(frame);
+  const uint64_t file_page = page - vma_.start_page;
+  const uint64_t vaddr = f.vaddr.load(std::memory_order_relaxed);
+  if (spans_ != nullptr) {
+    // Demote-before-sweep: Remove() refuses to descend through a 2 MB leaf,
+    // so reclaiming a huge-covered page without splitting first would free
+    // the frame while its translation stays live.
+    DemoteSpanForPage(vcpu, file_page);
+  }
+  if (vaddr != 0) {
+    uint64_t old_pte = runtime_->page_table().Remove(vaddr);
+    if (Pte::Present(old_pte)) {
+      NotePteRemoved(file_page);
+    }
+    if (transparent_base_ != nullptr) {
+      TrapDriver::RemoveRealMapping(vaddr);
+    }
+  }
+  // Unified capture rule (CaptureShootdownPage): frame claimed (kEvicting)
+  // and entry lock held, PTE removed above — after this point a completion
+  // or FreeFrame may recycle the frame, so the routing state must travel
+  // with the batch (or the deferral).
+  PageShootdown captured = CaptureShootdownPage(f, page);
+  if (f.dirty.load(std::memory_order_relaxed) != 0) {
+    // Dirty pages are never deferred: the shootdown must precede the write.
+    batch->vpns.push_back(captured);
+    cache.ClearDirty(frame);
+    batch->planner.AddReclaim(WritebackItem{f.dirty_item.sort_key, file_page * kPageSize,
+                                            cache.FrameData(vcpu, frame), frame, this});
+    return;
+  }
+  cache.RemoveMapping(f.key.load(std::memory_order_relaxed));
+  ReuseStamp stamp;
+  if (defer_clean && vaddr != 0) {
+    // A discard-then-retouch is exactly the same-owner reuse the elision
+    // targets — a clean page's refill re-reads the same device bytes, so
+    // the stale translations stay harmless until the frame changes hands.
+    stamp = runtime_->DeferPageShootdown(captured, vma_.mapping_id, vcpu.core(), frame);
+  } else {
+    batch->vpns.push_back(captured);
+  }
+  UnlockPage(page);
+  batch->to_free.push_back(ReclaimedFrame{frame, stamp});
+}
+
+size_t AquilaMap::FinishReclaim(Vcpu& vcpu, const ReclaimBatch& batch) {
+  // One batched shootdown for the whole batch (§4.1); the masked path
+  // splits it into per-victim-core coalesced IPIs and elides cores that
+  // never mapped any page of the batch. Frames free only after it.
+  runtime_->ShootdownPages(vcpu, batch.vpns);
+  PageCache& cache = runtime_->cache();
+  for (const ReclaimedFrame& freed : batch.to_free) {
+    cache.FreeFrame(vcpu.core(), freed.frame, freed.stamp);
+  }
+  return batch.to_free.size();
 }
 
 Status AquilaMap::Read(uint64_t offset, std::span<uint8_t> dst) {
@@ -1202,7 +1181,7 @@ Status AquilaMap::Sync(uint64_t offset, uint64_t length) {
         vpns.push_back(CaptureShootdownPage(f, fvaddr >> kPageShift));
       }
       planner.Add(WritebackItem{SortKey(file_page * kPageSize), file_page * kPageSize,
-                                cache.FrameData(vcpu, frame), backing_, frame, this});
+                                cache.FrameData(vcpu, frame), frame, this});
       claimed.push_back(frame);
     }
   };
@@ -1297,27 +1276,14 @@ Status AquilaMap::Advise(uint64_t offset, uint64_t length, Advice advice) {
     case Advice::kDontNeed: {
       uint64_t first = offset >> kPageShift;
       uint64_t last = std::min((offset + length - 1) >> kPageShift, vma_.page_count - 1);
-      const bool async = engine_ != nullptr;
       const bool reuse_defer =
           runtime_->options().shootdown_mask_mode == ShootdownMaskMode::kReuseElide;
-      WritebackPlanner planner;
-      std::vector<PageShootdown> vpns;
-      struct FreeSlot {
-        FrameId frame;
-        ReuseStamp stamp;
-      };
-      std::vector<FreeSlot> to_free;
-      std::vector<uint64_t> locked_pages;
+      ReclaimBatch batch;
       for (uint64_t file_page = first; file_page <= last; file_page++) {
         uint64_t page = vma_.start_page + file_page;
         Vma* vma;
         if (!runtime_->vma_tree().TryLockEntry(page, &vma)) {
           continue;
-        }
-        if (spans_ != nullptr) {
-          // Partial eviction of a huge span: split before the per-page
-          // Remove below, which cannot see through a 2 MB leaf.
-          DemoteSpanForPage(vcpu, file_page);
         }
         uint64_t key = MakeKey(vma_.mapping_id, file_page);
         FrameId frame;
@@ -1339,83 +1305,13 @@ Status AquilaMap::Advise(uint64_t offset, uint64_t length, Advice advice) {
           UnlockPage(page);
           continue;
         }
-        uint64_t fvaddr = f.vaddr.load(std::memory_order_relaxed);
-        if (fvaddr != 0) {
-          uint64_t old_pte = runtime_->page_table().Remove(fvaddr);
-          if (Pte::Present(old_pte)) {
-            NotePteRemoved(file_page);
-          }
-        }
-        if (transparent_base_ != nullptr && fvaddr != 0) {
-          TrapDriver::RemoveRealMapping(fvaddr);
-        }
-        // Unified capture rule (CaptureShootdownPage): frame claimed
-        // (kEvicting) and entry lock held, PTE removed above — before
-        // FreeFrame can recycle.
-        PageShootdown captured = CaptureShootdownPage(f, page);
-        if (f.dirty.load(std::memory_order_relaxed) != 0) {
-          vpns.push_back(captured);
-          cache.ClearDirty(frame);
-          planner.Add(WritebackItem{f.dirty_item.sort_key, file_page * kPageSize,
-                                    cache.FrameData(vcpu, frame), backing_, frame, this});
-          if (async) {
-            // As in eviction: the cache mapping stays so a re-fault waits out
-            // kWritingBack; the completion drops the mapping and the frame.
-            f.state.store(FrameState::kWritingBack, std::memory_order_release);
-            UnlockPage(page);
-          } else {
-            cache.RemoveMapping(key);
-            locked_pages.push_back(page);
-          }
-        } else {
-          cache.RemoveMapping(key);
-          ReuseStamp stamp;
-          if (reuse_defer && fvaddr != 0) {
-            // Clean drop: defer the shootdown like the eviction path. A
-            // discard-then-retouch is exactly the same-owner reuse the
-            // elision targets — a clean page's refill re-reads the same
-            // device bytes, so the stale translations stay harmless. Dirty
-            // drops go through the writeback branch above and are never
-            // deferred.
-            stamp = runtime_->DeferPageShootdown(captured, vma_.mapping_id,
-                                                 vcpu.core(), frame);
-          } else {
-            vpns.push_back(captured);
-          }
-          UnlockPage(page);
-          to_free.push_back({frame, stamp});
-        }
+        ReclaimPage(vcpu, frame, page, reuse_defer, &batch);
       }
-      Status wb_status = Status::Ok();
-      if (!planner.empty()) {
-        if (async) {
-          wb_status = planner.SubmitAsync(vcpu);
-        } else {
-          wb_status = planner.SubmitSync(vcpu);
-          NoteWritebackResult(wb_status);
-          if (wb_status.ok()) {
-            runtime_->fault_stats().writeback_pages.fetch_add(planner.size(),
-                                                              std::memory_order_relaxed);
-            for (const WritebackItem& item : planner.items()) {
-              to_free.push_back({item.frame, ReuseStamp{}});
-            }
-          } else {
-            // Failed pages stay cached and dirty; madvise reports the EIO but
-            // the clean pages below are still dropped.
-            for (const WritebackItem& item : planner.items()) {
-              RestoreDirtyFrame(vcpu, item.frame, item.sort_key, /*reinsert_mapping=*/true);
-            }
-          }
-          for (uint64_t page : locked_pages) {
-            UnlockPage(page);
-          }
-        }
-      }
-      runtime_->ShootdownPages(vcpu, vpns);
-      for (const FreeSlot& slot : to_free) {
-        cache.FreeFrame(vcpu.core(), slot.frame, slot.stamp);
-      }
-      return wb_status;
+      // Failed dirty pages stay cached and dirty and madvise reports the
+      // EIO; the clean pages are still dropped.
+      Status status = batch.planner.SubmitReclaim(vcpu, &batch.to_free);
+      (void)FinishReclaim(vcpu, batch);
+      return status;
     }
   }
   return Status::InvalidArgument("unknown advice");

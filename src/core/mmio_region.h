@@ -16,6 +16,7 @@
 
 #include <atomic>
 #include <memory>
+#include <vector>
 
 #include "src/core/aquila.h"
 #include "src/core/sched.h"
@@ -167,13 +168,32 @@ class AquilaMap : public MemoryMap {
   // Installs readahead pages following `file_page` (best effort: callers may
   // ignore the status — it reports the first fill that could not be issued).
   Status ReadAhead(Vcpu& vcpu, uint64_t file_page);
-  // Batched eviction (synchronous writeback, or submission to the async
-  // engines). Returns frames freed now — async mode frees dirty victims
-  // later, when their completions reap. Writeback failures (sync I/O errors
-  // and async submission rejections alike) are charged via
-  // NoteWritebackResult and reduce the round's progress; they are never
+  // Batched eviction. Returns frames freed now — async mode frees dirty
+  // victims later, when their completions reap. Writeback failures (sync
+  // I/O errors and async submission rejections alike) are charged to the
+  // victim's owning mapping and reduce the round's progress; they are never
   // surfaced as a fault error for an unrelated page.
   StatusOr<size_t> EvictBatch(Vcpu& vcpu);
+
+  // A reclaim batch (EvictBatch, Advise(kDontNeed)) between claim and free:
+  // victim batch, offset-sorted writeback, one batched shootdown (§3.2,
+  // §4.1).
+  struct ReclaimBatch {
+    WritebackPlanner planner;             // dirty victims
+    std::vector<PageShootdown> vpns;      // translations to shoot down
+    std::vector<ReclaimedFrame> to_free;  // freed only after the shootdown
+  };
+  // Reclaims one page of this mapping whose frame the caller claimed
+  // (kEvicting) under the page's entry lock: demotes its huge span, removes
+  // the PTE and the trap mapping, captures the shootdown, and routes the
+  // frame — dirty to the planner (which owns the entry lock from here),
+  // clean to `to_free` with the entry lock released. `defer_clean` defers a
+  // clean mapped page's shootdown (kReuseElide on Advise(kDontNeed) only).
+  void ReclaimPage(Vcpu& vcpu, FrameId frame, uint64_t page, bool defer_clean,
+                   ReclaimBatch* batch);
+  // One batched shootdown for the batch, then the frees. Call after
+  // planner.SubmitReclaim. Returns frames freed.
+  size_t FinishReclaim(Vcpu& vcpu, const ReclaimBatch& batch);
   // Fills `frame` for (vaddr,key) from the backing and publishes it.
   Status FillAndPublish(Vcpu& vcpu, FrameId frame, uint64_t vaddr, uint64_t key, bool write);
 

@@ -37,26 +37,85 @@ void WritebackPlanner::Sort(Vcpu& vcpu) {
   std::sort(items_.begin(), items_.end());
 }
 
+size_t WritebackPlanner::GroupEnd(size_t begin) const {
+  size_t end = begin;
+  while (end < items_.size() && items_[end].owner == items_[begin].owner) {
+    end++;
+  }
+  return end;
+}
+
+Status WritebackPlanner::WriteGroup(Vcpu& vcpu, size_t begin, size_t end) {
+  std::vector<uint64_t> offsets;
+  std::vector<const uint8_t*> pages;
+  offsets.reserve(end - begin);
+  pages.reserve(end - begin);
+  for (size_t k = begin; k < end; k++) {
+    offsets.push_back(items_[k].file_offset);
+    pages.push_back(items_[k].data);
+  }
+  return items_[begin].owner->backing_->WritePages(vcpu, offsets, pages, kPageSize);
+}
+
 Status WritebackPlanner::SubmitSync(Vcpu& vcpu) {
   Sort(vcpu);
-  size_t i = 0;
-  while (i < items_.size()) {
-    size_t j = i;
-    while (j < items_.size() && items_[j].backing == items_[i].backing) {
-      j++;
-    }
-    std::vector<uint64_t> offsets;
-    std::vector<const uint8_t*> pages;
-    offsets.reserve(j - i);
-    pages.reserve(j - i);
-    for (size_t k = i; k < j; k++) {
-      offsets.push_back(items_[k].file_offset);
-      pages.push_back(items_[k].data);
-    }
-    AQUILA_RETURN_IF_ERROR(items_[i].backing->WritePages(vcpu, offsets, pages, kPageSize));
-    i = j;
+  size_t end;
+  for (size_t begin = 0; begin < items_.size(); begin = end) {
+    end = GroupEnd(begin);
+    AQUILA_RETURN_IF_ERROR(WriteGroup(vcpu, begin, end));
   }
   return Status::Ok();
+}
+
+void WritebackPlanner::AddReclaim(const WritebackItem& item) {
+  items_.push_back(item);
+  AquilaMap* owner = item.owner;
+  PageCache& cache = owner->runtime_->cache();
+  Frame& f = cache.frame(item.frame);
+  if (owner->writeback_engine() != nullptr) {
+    f.state.store(FrameState::kWritingBack, std::memory_order_release);
+    owner->UnlockPage(owner->vma_.start_page + (item.file_offset >> kPageShift));
+  } else {
+    cache.RemoveMapping(f.key.load(std::memory_order_relaxed));
+  }
+}
+
+Status WritebackPlanner::SubmitReclaim(Vcpu& vcpu, std::vector<ReclaimedFrame>* to_free) {
+  if (items_.empty()) {
+    return Status::Ok();
+  }
+  if (items_.front().owner->writeback_engine() != nullptr) {
+    return SubmitAsync(vcpu);
+  }
+  Sort(vcpu);
+  Status first_error;
+  size_t end;
+  for (size_t begin = 0; begin < items_.size(); begin = end) {
+    end = GroupEnd(begin);
+    AquilaMap* owner = items_[begin].owner;
+    Status status = WriteGroup(vcpu, begin, end);
+    owner->NoteWritebackResult(status);
+    if (status.ok()) {
+      owner->runtime_->fault_stats().writeback_pages.fetch_add(end - begin,
+                                                               std::memory_order_relaxed);
+    } else if (first_error.ok()) {
+      first_error = status;
+    }
+    // The owner stays alive while any of its pages is still locked, so the
+    // group's last unlock is also the planner's last touch of it.
+    for (size_t k = begin; k < end; k++) {
+      const WritebackItem& item = items_[k];
+      if (status.ok()) {
+        to_free->push_back(ReclaimedFrame{item.frame, ReuseStamp{}});
+      } else {
+        // Unwritten dirty data must not be dropped: back into the cache,
+        // dirty, for the next writeback to retry.
+        owner->RestoreDirtyFrame(vcpu, item.frame, item.sort_key, /*reinsert_mapping=*/true);
+      }
+      owner->UnlockPage(owner->vma_.start_page + (item.file_offset >> kPageShift));
+    }
+  }
+  return first_error;
 }
 
 Status WritebackPlanner::SubmitAsync(Vcpu& vcpu) {
@@ -134,7 +193,7 @@ Status AsyncWritebackEngine::SubmitWriteback(Vcpu& vcpu, const WritebackItem& it
   slot = Slot{Slot::Kind::kWriteback, /*demand=*/false, item.frame, key, item.sort_key,
               item.file_offset, telemetry::CurrentSpanContext()};
   AQUILA_TELEMETRY_ONLY(GetAsyncMetrics().writebacks->Add());
-  StatusOr<uint64_t> dev_offset = item.backing->TranslateForQueue(item.file_offset);
+  StatusOr<uint64_t> dev_offset = map_->backing_->TranslateForQueue(item.file_offset);
   if (dev_offset.ok()) {
     Status status =
         queue_->SubmitWrite(vcpu, *dev_offset, std::span(item.data, kPageSize), index);
@@ -148,7 +207,7 @@ Status AsyncWritebackEngine::SubmitWriteback(Vcpu& vcpu, const WritebackItem& it
     // reaping protocol stays uniform.
     const uint64_t offsets[1] = {item.file_offset};
     const uint8_t* const pages[1] = {item.data};
-    Status status = item.backing->WritePages(vcpu, offsets, pages, kPageSize);
+    Status status = map_->backing_->WritePages(vcpu, offsets, pages, kPageSize);
     const uint64_t now = vcpu.clock().Now();
     local_.push_back(DeviceQueue::Completion{index, std::move(status), now, now});
   }

@@ -7,10 +7,13 @@
 // sites differ only in how they claim frames and what they do with them
 // afterwards.
 //
-// Submission comes in two flavors:
-//   * SubmitSync: the pre-existing behavior — one batched WritePages call per
-//     backing; the caller blocks until the device acknowledges.
-//   * SubmitAsync: each item is routed to its owning mapping's
+// msync and unmap write synchronously (SubmitSync): they promise durability
+// and run their own claim loops. Reclaim — eviction and madvise(DONTNEED) —
+// goes through AddReclaim/SubmitReclaim, and those two calls are the one
+// place the Options::async_writeback choice is made:
+//   * sync: one batched WritePages call per owning mapping; the caller blocks
+//     until the device acknowledges, holding each page's entry lock.
+//   * async: each item is routed to its owning mapping's
 //     AsyncWritebackEngine, which submits it on a DeviceQueue and returns
 //     immediately. The frame sits in FrameState::kWritingBack until the
 //     completion is reaped — faulting threads keep making progress (and keep
@@ -28,7 +31,6 @@
 #include <vector>
 
 #include "src/cache/page_cache.h"
-#include "src/core/backing.h"
 #include "src/storage/device_queue.h"
 #include "src/telemetry/span.h"
 #include "src/util/spinlock.h"
@@ -47,11 +49,18 @@ struct WritebackItem {
   uint64_t sort_key = 0;     // (mapping_id | device page): physical write order
   uint64_t file_offset = 0;  // offset within the owning mapping's backing
   const uint8_t* data = nullptr;
-  Backing* backing = nullptr;
   FrameId frame = kInvalidFrame;
-  AquilaMap* owner = nullptr;  // mapping charged with the outcome
+  AquilaMap* owner = nullptr;  // mapping written to and charged with the outcome
 
   bool operator<(const WritebackItem& other) const { return sort_key < other.sort_key; }
+};
+
+// A frame released by reclaim. It is freed only after the batch's
+// shootdown; `stamp` carries the last-owner stamp of a deferred shootdown
+// (default-constructed when none was deferred).
+struct ReclaimedFrame {
+  FrameId frame = kInvalidFrame;
+  ReuseStamp stamp;
 };
 
 // Collect -> sort -> submit: the single writeback pipeline shared by
@@ -64,20 +73,45 @@ class WritebackPlanner {
   const std::vector<WritebackItem>& items() const { return items_; }
 
   // Sorts by device offset, then issues one batched WritePages call per
-  // backing. Returns the first error; the caller decides how to restore the
-  // affected frames (the planner does not know their claim protocol).
+  // owning mapping. Returns the first error; the caller decides how to
+  // restore the affected frames (the planner does not know their claim
+  // protocol). msync and unmap only.
   Status SubmitSync(Vcpu& vcpu);
 
-  // Sorts by device offset, then hands each item to its owner's
-  // AsyncWritebackEngine. Items whose submission fails at the machinery
-  // level (not an I/O error — those travel in completions) are restored
-  // dirty-in-place and charged to the owner; the first such error is
-  // returned. On return every item is either in flight or restored.
-  Status SubmitAsync(Vcpu& vcpu);
+  // Adds a reclaim victim: a dirty page its owner claimed (kEvicting) under
+  // the page's entry lock, PTE removed and dirty bit cleared. Applies the
+  // mode's frame-state protocol. Async: the frame becomes kWritingBack and
+  // keeps its cache mapping, so a faulter waits out the writeback instead of
+  // re-reading a page the device has not acknowledged; the entry lock drops
+  // now. Sync: the cache mapping goes and the entry lock stays held until
+  // SubmitReclaim — sync mode has no engine for Unmap to drain, so the lock
+  // is what keeps the owner alive across the write.
+  void AddReclaim(const WritebackItem& item);
+
+  // Submits and settles the reclaim victims; the caller then shoots down
+  // their translations and frees `to_free`. Async: SubmitAsync; frames free
+  // when their completions reap. Sync: per owning mapping, one WritePages
+  // call whose outcome is charged to that owner (NoteWritebackResult, like
+  // Linux's mapping_set_error on the page's own address_space); a failed
+  // group is restored dirty and resident, a written group counts
+  // writeback_pages and appends its frames to `to_free`; every held entry
+  // lock is released. Returns the first error.
+  Status SubmitReclaim(Vcpu& vcpu, std::vector<ReclaimedFrame>* to_free);
 
  private:
   // Sorting is dirty-tree bookkeeping work, charged to kDirtyTracking.
   void Sort(Vcpu& vcpu);
+  // End of the owner group starting at `begin` (items sorted).
+  size_t GroupEnd(size_t begin) const;
+  // One batched WritePages call for items [begin, end) of one owner.
+  Status WriteGroup(Vcpu& vcpu, size_t begin, size_t end);
+
+  // Hands each item to its owner's AsyncWritebackEngine. Items whose
+  // submission fails at the machinery level (not an I/O error — those
+  // travel in completions) are restored dirty-in-place and charged to the
+  // owner; the first such error is returned. On return every item is either
+  // in flight or restored.
+  Status SubmitAsync(Vcpu& vcpu);
 
   std::vector<WritebackItem> items_;
 };

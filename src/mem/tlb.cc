@@ -85,8 +85,7 @@ bool TlbSet::CoreNeedsPage(int core, const PageShootdown& page,
   if ((page.cpu_mask & (1ull << (core & 63))) == 0) {
     return false;  // core never installed a translation for this page
   }
-  if ((mode == ShootdownMaskMode::kMaskGen || mode == ShootdownMaskMode::kReuseElide) &&
-      flush_epochs_[core].flushed.load(std::memory_order_relaxed) > page.tlb_epoch) {
+  if (flush_epochs_[core].flushed.load(std::memory_order_relaxed) > page.tlb_epoch) {
     return false;  // whole TLB flushed since the page's last insert
   }
   return true;

@@ -45,14 +45,16 @@
 
 namespace aquila {
 
-// How Shootdown picks its IPI targets (Options::shootdown_mask_mode).
+// How Shootdown picks its IPI targets (Options::shootdown_mask_mode). The
+// values are fixed because benchmark configurations print them as integers.
 enum class ShootdownMaskMode : uint8_t {
-  kBroadcast,   // one IPI per active core, the paper's §4.1 baseline
-  kMask,        // skip cores with no bit in the batch's per-page cpu masks
-  kMaskGen,     // kMask, plus skip cores fully flushed since a page's insert
-  kReuseElide,  // kMaskGen, plus defer the flush for clean recycled frames:
-                // the fault path elides it entirely on same-owner reuse and
-                // executes it (debt-amortized) on a cross-owner handout
+  kBroadcast = 0,   // one IPI per active core, the paper's §4.1 baseline
+  kMaskGen = 2,     // skip cores with no bit in the batch's per-page cpu
+                    // masks, and cores fully flushed since a page's insert
+  kReuseElide = 3,  // kMaskGen, plus defer the flush for clean recycled
+                    // frames: the fault path elides it entirely on
+                    // same-owner reuse and executes it (debt-amortized) on a
+                    // cross-owner handout
 };
 
 // A shootdown whose execution was deferred at frame-recycle time under

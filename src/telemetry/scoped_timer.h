@@ -1,19 +1,19 @@
-// RAII latency measurement into registry histograms.
+// Latency measurement into registry histograms.
 //
 // Two timebases:
-//   - ScopedTimer      : simulated cycles from a SimClock — the runtime's
-//                        native latency unit (device waits, trap costs and
-//                        queueing all land in it). Use on any path that has
-//                        a vCPU clock in hand.
-//   - ScopedTscTimer   : real TSC cycles (ReadCyclesFenced) — for software
-//                        paths executed for real that have no SimClock in
-//                        scope (e.g. dirty-tree spinlock sections).
+//   - RecordSpanSince() : simulated cycles from a SimClock — the runtime's
+//                         native latency unit (device waits, trap costs and
+//                         queueing all land in it). Non-RAII, for paths with
+//                         multiple classified exits (the fault handler
+//                         doesn't know whether a fault is major or minor
+//                         until it returns); also emits the matching trace
+//                         event when tracing is armed.
+//   - ScopedTscTimer    : real TSC cycles (ReadCyclesFenced) — for software
+//                         paths executed for real that have no SimClock in
+//                         scope (e.g. dirty-tree spinlock sections).
 //
-// Both compile to empty objects when AQUILA_TELEMETRY_ENABLED=0, so hot
-// paths carry zero cost in the OFF configuration. RecordSpanSince() is the
-// non-RAII form for paths with multiple classified exits (the fault handler
-// doesn't know whether a fault is major or minor until it returns), and
-// also emits the matching trace event when tracing is armed.
+// Both compile to nothing when AQUILA_TELEMETRY_ENABLED=0, so hot paths
+// carry zero cost in the OFF configuration.
 #ifndef AQUILA_SRC_TELEMETRY_SCOPED_TIMER_H_
 #define AQUILA_SRC_TELEMETRY_SCOPED_TIMER_H_
 
@@ -26,30 +26,6 @@
 
 namespace aquila {
 namespace telemetry {
-
-class ScopedTimer {
- public:
-#if AQUILA_TELEMETRY_ENABLED
-  ScopedTimer(Histogram* histogram, const SimClock& clock)
-      : histogram_(histogram), clock_(&clock), start_(clock.Now()) {}
-  ~ScopedTimer() {
-    if (histogram_ != nullptr) {
-      histogram_->Record(clock_->Now() - start_);
-    }
-  }
-
- private:
-  Histogram* histogram_;
-  const SimClock* clock_;
-  uint64_t start_;
-#else
-  ScopedTimer(Histogram*, const SimClock&) {}
-#endif
-
- public:
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-};
 
 class ScopedTscTimer {
  public:

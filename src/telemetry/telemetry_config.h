@@ -1,7 +1,7 @@
 // Compile-time switch for the telemetry layer.
 //
 // The build defines AQUILA_TELEMETRY_ENABLED=0 when the CMake option
-// AQUILA_TELEMETRY is OFF; hot-path recording (Counter::Add, ScopedTimer,
+// AQUILA_TELEMETRY is OFF; hot-path recording (Counter::Add, ScopedTscTimer,
 // TraceSpan) then compiles to nothing. The MetricsRegistry itself always
 // exists so exposition call sites keep linking in either configuration.
 #ifndef AQUILA_SRC_TELEMETRY_TELEMETRY_CONFIG_H_

@@ -4,6 +4,7 @@
 // Kreon on-device formats (power-cut, torn-tail, and bit-flip scenarios).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -408,6 +409,136 @@ TEST_P(AsyncDegradedMmioTest, CompletionSuccessResetsFailureStreak) {
 INSTANTIATE_TEST_SUITE_P(ShimAndNative, AsyncDegradedMmioTest, ::testing::Bool(),
                          [](const ::testing::TestParamInfo<bool>& info) {
                            return info.param ? "NvmeQueue" : "SyncShim";
+                         });
+
+// --- reclaim writeback failures, both writeback modes ---------------------------
+
+// Eviction and madvise(DONTNEED) share one reclaim pipeline whose writeback
+// runs synchronously or through the async engines (Options::async_writeback).
+// A failed write must be charged to the same mapping and leave the same page
+// states in both modes. `bad_` fails every write; `good_` is healthy.
+class ReclaimWritebackErrorTest : public ::testing::TestWithParam<bool> {
+ protected:
+  static constexpr uint64_t kCachePages = 256;
+
+  void SetUp() override {
+    good_ = MakePmem(64ull << 20);
+    bad_pmem_ = MakePmem(64ull << 20);
+    FaultInjectingDevice::Options fopts;
+    fopts.write_error_rate = 1.0;
+    bad_ = std::make_unique<FaultInjectingDevice>(bad_pmem_.get(), fopts);
+    good_backing_ = std::make_unique<DeviceBacking>(good_.get(), 0, 16ull << 20);
+    bad_backing_ = std::make_unique<DeviceBacking>(bad_.get(), 0, 16ull << 20);
+
+    Aquila::Options options;
+    options.hypervisor.host_memory_bytes = 256ull << 20;
+    options.cache.capacity_pages = kCachePages;
+    options.cache.max_pages = 4096;
+    options.cache.eviction_batch = 64;
+    options.async_writeback = GetParam();
+    options.async_queue_depth = 8;
+    runtime_ = std::make_unique<Aquila>(options);
+  }
+
+  AquilaMap* MapRw(DeviceBacking* backing, uint64_t bytes) {
+    StatusOr<MemoryMap*> map = runtime_->Map(backing, bytes, kProtRead | kProtWrite);
+    EXPECT_TRUE(map.ok());
+    return map.ok() ? static_cast<AquilaMap*>(*map) : nullptr;
+  }
+
+  // Reaps every in-flight async writeback; a no-op in sync mode. Each
+  // kWaitOne reaps at least one completion while any is in flight, and at
+  // most async_queue_depth per mapping are.
+  void ReapAll() {
+    for (int i = 0; i < 64; i++) {
+      runtime_->HarvestAsyncWritebacks(ThisVcpu(), HarvestMode::kWaitOne);
+    }
+  }
+
+  uint64_t MajorFaults() const { return runtime_->fault_stats().major_faults.load(); }
+
+  std::unique_ptr<PmemDevice> good_;
+  std::unique_ptr<PmemDevice> bad_pmem_;
+  std::unique_ptr<FaultInjectingDevice> bad_;
+  std::unique_ptr<DeviceBacking> good_backing_;
+  std::unique_ptr<DeviceBacking> bad_backing_;
+  std::unique_ptr<Aquila> runtime_;
+};
+
+TEST_P(ReclaimWritebackErrorTest, EvictionChargesFailuresToThePagesOwner) {
+  AquilaMap* a = MapRw(good_backing_.get(), 4 * kCachePages * kPageSize);
+  AquilaMap* b = MapRw(bad_backing_.get(), kCachePages * kPageSize);
+  ASSERT_NE(a, nullptr);
+  ASSERT_NE(b, nullptr);
+  // B dirties a quarter of the cache; its device will refuse every write.
+  std::vector<uint8_t> buf(kPageSize, 0xB0);
+  for (uint64_t p = 0; p < kCachePages / 4; p++) {
+    ASSERT_TRUE(b->Write(p * kPageSize, std::span<const uint8_t>(buf)).ok()) << p;
+  }
+  // Faults on A, four times the cache: eviction keeps picking B's dirty
+  // pages, failing to write them, and restoring them.
+  std::vector<uint8_t> in(kPageSize);
+  for (uint64_t p = 0; p < 4 * kCachePages; p++) {
+    ASSERT_TRUE(a->Read(p * kPageSize, std::span(in)).ok()) << p;
+  }
+  ReapAll();
+  EXPECT_GE(runtime_->fault_stats().writeback_errors.load(),
+            runtime_->options().writeback_failure_limit);
+
+  // The failures belong to B, whose pages could not be written — not to A,
+  // whose faults happened to drive the eviction.
+  EXPECT_FALSE(a->degraded());
+  EXPECT_TRUE(a->Write(0, std::span<const uint8_t>(buf)).ok());
+  EXPECT_TRUE(b->degraded());
+  EXPECT_EQ(b->Write(0, std::span<const uint8_t>(buf)).code(), StatusCode::kIoError);
+  // B's unwritten data survived every failed eviction.
+  ASSERT_TRUE(b->Read(0, std::span(in)).ok());
+  EXPECT_EQ(in, buf);
+}
+
+TEST_P(ReclaimWritebackErrorTest, DontNeedKeepsUnwrittenDirtyPagesAndDropsCleanOnes) {
+  constexpr uint64_t kDirty = 4;
+  constexpr uint64_t kClean = 4;
+  AquilaMap* b = MapRw(bad_backing_.get(), 1 << 20);
+  ASSERT_NE(b, nullptr);
+  std::vector<uint8_t> buf(kPageSize);
+  for (uint64_t p = 0; p < kDirty; p++) {
+    std::fill(buf.begin(), buf.end(), static_cast<uint8_t>(0xD0 + p));
+    ASSERT_TRUE(b->Write(p * kPageSize, std::span<const uint8_t>(buf)).ok());
+  }
+  std::vector<uint8_t> in(kPageSize);
+  for (uint64_t p = kDirty; p < kDirty + kClean; p++) {
+    ASSERT_TRUE(b->Read(p * kPageSize, std::span(in)).ok());
+  }
+
+  Status status = b->Advise(0, (kDirty + kClean) * kPageSize, Advice::kDontNeed);
+  if (GetParam()) {
+    // Submission succeeds; the I/O errors arrive in the completions, which
+    // restore the pages.
+    EXPECT_TRUE(status.ok()) << status.ToString();
+    ReapAll();
+  } else {
+    EXPECT_EQ(status.code(), StatusCode::kIoError);
+  }
+
+  // The dirty pages stay resident and dirty, and still hold their data.
+  EXPECT_EQ(runtime_->cache().TotalDirty(), kDirty);
+  const uint64_t majors = MajorFaults();
+  for (uint64_t p = 0; p < kDirty; p++) {
+    ASSERT_TRUE(b->Read(p * kPageSize, std::span(in)).ok());
+    EXPECT_EQ(in, std::vector<uint8_t>(kPageSize, static_cast<uint8_t>(0xD0 + p))) << p;
+  }
+  EXPECT_EQ(MajorFaults(), majors);
+  // The clean pages were dropped: reading them goes back to the device.
+  for (uint64_t p = kDirty; p < kDirty + kClean; p++) {
+    ASSERT_TRUE(b->Read(p * kPageSize, std::span(in)).ok());
+  }
+  EXPECT_EQ(MajorFaults(), majors + kClean);
+}
+
+INSTANTIATE_TEST_SUITE_P(SyncAndAsync, ReclaimWritebackErrorTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "Async" : "Sync";
                          });
 
 // --- linuxsim msync error propagation -------------------------------------------

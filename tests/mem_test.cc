@@ -163,7 +163,7 @@ TEST(TlbTest, MaskedShootdownSkipsUnmappedCores) {
   tlb.Insert(3, 42, true);  // unrelated page on an unmapped core survives
   std::vector<PageShootdown> pages = {{7, /*cpu_mask=*/0b0101, /*tlb_epoch=*/0}};
   tlb.Shootdown(clock, /*initiator=*/0, /*active_cores=*/4, pages, fabric,
-                ShootdownMaskMode::kMask);
+                ShootdownMaskMode::kMaskGen);
   EXPECT_FALSE(tlb.Lookup(0, 7).hit);
   EXPECT_FALSE(tlb.Lookup(2, 7).hit);
   EXPECT_TRUE(tlb.Lookup(3, 42).hit);
@@ -181,7 +181,7 @@ TEST(TlbTest, InitiatorOnlyMaskElidesRemotePhase) {
   tlb.Insert(0, 7, true);
   std::vector<PageShootdown> pages = {{7, /*cpu_mask=*/0b0001, /*tlb_epoch=*/0}};
   tlb.Shootdown(clock, /*initiator=*/0, /*active_cores=*/4, pages, fabric,
-                ShootdownMaskMode::kMask);
+                ShootdownMaskMode::kMaskGen);
   EXPECT_FALSE(tlb.Lookup(0, 7).hit);
   EXPECT_EQ(fabric.TotalSent(), 0u);
   EXPECT_EQ(tlb.ipis_elided(), 3u);
@@ -198,7 +198,7 @@ TEST(TlbTest, GenerationElidesCoresFlushedAfterInsert) {
   uint64_t insert_epoch = tlb.Insert(1, 7, true);
   // Core 1's whole TLB is flushed after the insert: it cannot hold the
   // translation any more, so kMaskGen skips the IPI even though the mask
-  // names it...
+  // names it.
   tlb.FlushCore(1);
   EXPECT_GT(tlb.CoreFlushEpoch(1), insert_epoch);
   std::vector<PageShootdown> pages = {{7, /*cpu_mask=*/0b0011, insert_epoch}};
@@ -206,16 +206,6 @@ TEST(TlbTest, GenerationElidesCoresFlushedAfterInsert) {
                 ShootdownMaskMode::kMaskGen);
   EXPECT_EQ(fabric.TotalSent(), 0u);
   EXPECT_EQ(tlb.shootdowns_local(), 1u);
-
-  // ...while plain kMask still pays it (the mask alone cannot know).
-  TlbSet tlb2;
-  PostedIpiFabric fabric2;
-  uint64_t epoch2 = tlb2.Insert(1, 7, true);
-  tlb2.FlushCore(1);
-  std::vector<PageShootdown> pages2 = {{7, /*cpu_mask=*/0b0011, epoch2}};
-  tlb2.Shootdown(clock, /*initiator=*/0, /*active_cores=*/4, pages2, fabric2,
-                 ShootdownMaskMode::kMask);
-  EXPECT_EQ(fabric2.TotalSent(), 1u);
 }
 
 TEST(TlbTest, GenerationNeverElidesInsertAfterFlush) {
@@ -262,7 +252,7 @@ TEST(TlbTest, ClampedBatchFullFlushesVictims) {
     pages.push_back({i, /*cpu_mask=*/0b0011, /*tlb_epoch=*/0});
   }
   tlb.Shootdown(clock, /*initiator=*/0, /*active_cores=*/2, pages, fabric,
-                ShootdownMaskMode::kMask);
+                ShootdownMaskMode::kMaskGen);
   EXPECT_FALSE(tlb.Lookup(0, 100000).hit);
   EXPECT_FALSE(tlb.Lookup(1, 100000).hit);
   // The victims' flush epochs advanced: later kMaskGen shootdowns of pages

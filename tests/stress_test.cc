@@ -574,7 +574,10 @@ TEST(DirtyStressTest, ConcurrentDirtyingVsSweepAndCollect) {
 // the cache, with msync and madvise(DONTNEED) folded into the mix. Each
 // thread syncs/drops only its own offset slice (concurrent msync of a range
 // another thread is storing to races by *mmap semantics*; the runtime's own
-// structures must still be clean, which the TSan variant checks).
+// structures must still be clean, which the TSan variant checks). A second
+// mapping on a second device shares the cache, so faults on either mapping
+// evict and write back the other's dirty pages: the reclaim pipeline runs
+// across owners and backings.
 TEST(PipelineStressTest, FaultEvictWritebackShootdownTorture) {
   constexpr uint64_t kDeviceBytes = 16ull << 20;
   constexpr uint64_t kCachePages = 1024;  // map is 2x this
@@ -583,6 +586,7 @@ TEST(PipelineStressTest, FaultEvictWritebackShootdownTorture) {
   PmemDevice::Options dev_options;
   dev_options.capacity_bytes = kDeviceBytes;
   PmemDevice device(dev_options);
+  PmemDevice device2(dev_options);
   for (uint64_t i = 0; i < kDeviceBytes; i++) {
     device.dax_base()[i] = static_cast<uint8_t>(i * 131 + 17);
   }
@@ -601,8 +605,13 @@ TEST(PipelineStressTest, FaultEvictWritebackShootdownTorture) {
   DeviceBacking backing(&device, 0, kBytes);
   StatusOr<MemoryMap*> map = runtime.Map(&backing, kBytes, kProtRead | kProtWrite);
   ASSERT_TRUE(map.ok());
+  constexpr uint64_t kBytes2 = 2ull << 20;  // half the cache
+  DeviceBacking backing2(&device2, 0, kBytes2);
+  StatusOr<MemoryMap*> map2 = runtime.Map(&backing2, kBytes2, kProtRead | kProtWrite);
+  ASSERT_TRUE(map2.ok());
 
   const uint64_t pages = kBytes / kPageSize;
+  const uint64_t pages2 = kBytes2 / kPageSize;
   std::atomic<bool> corrupt{false};
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; t++) {
@@ -614,11 +623,15 @@ TEST(PipelineStressTest, FaultEvictWritebackShootdownTorture) {
       const uint64_t slice_lo = t * stride * kPageSize;
       const uint64_t slice_bytes = stride * kPageSize;
       for (int i = 0; i < 3000; i++) {
-        uint64_t page = rng.Uniform(pages);
+        // One store in four lands on the second mapping, dirtying pages the
+        // first mapping's faults then evict (and vice versa).
+        const bool second = rng.OneIn(4);
+        MemoryMap* target = second ? *map2 : *map;
+        uint64_t page = rng.Uniform(second ? pages2 : pages);
         uint64_t off = page * kPageSize + 64 + 8 * static_cast<uint64_t>(t);
         uint64_t value = (static_cast<uint64_t>(t) << 56) | (page * 2654435761ull);
-        (*map)->StoreValue<uint64_t>(off, value);
-        if ((*map)->LoadValue<uint64_t>(off) != value) {
+        target->StoreValue<uint64_t>(off, value);
+        if (target->LoadValue<uint64_t>(off) != value) {
           corrupt.store(true);
         }
         // Shared read-only byte must keep the device pattern forever, across
@@ -655,6 +668,10 @@ TEST(PipelineStressTest, FaultEvictWritebackShootdownTorture) {
   EXPECT_FALSE(corrupt.load());
   EXPECT_GT(runtime.fault_stats().evicted_pages.load(), 0u);
   EXPECT_GT(runtime.fault_stats().writeback_pages.load(), 0u);
+  // The second mapping is never synced, so its device writes before Unmap
+  // come from eviction, mostly driven by faults on the first mapping.
+  EXPECT_GT(device2.stats().writes.load(), 0u);
+  ASSERT_TRUE(runtime.Unmap(*map2).ok());
   ASSERT_TRUE(runtime.Unmap(*map).ok());
 
   // Durability spot-check: every thread's last store to its slice pages was
@@ -673,6 +690,17 @@ TEST(PipelineStressTest, FaultEvictWritebackShootdownTorture) {
     }
   }
   EXPECT_TRUE(any_written);
+  // The second mapping's stores reached its device, written back by
+  // eviction or flushed by Unmap.
+  bool second_written = false;
+  for (uint64_t page = 0; page < pages2 && !second_written; page++) {
+    for (int t = 0; t < kThreads && !second_written; t++) {
+      uint64_t stored;
+      std::memcpy(&stored, device2.dax_base() + page * kPageSize + 64 + 8 * t, 8);
+      second_written = stored == ((static_cast<uint64_t>(t) << 56) | (page * 2654435761ull));
+    }
+  }
+  EXPECT_TRUE(second_written);
 }
 
 // Cooperative-mode pass over the same pipeline: the async engine plus the

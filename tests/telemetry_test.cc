@@ -205,27 +205,6 @@ TEST(MetricsRegistryTest, ResetOwnedZeroesCountersAndHistograms) {
 
 // --- Scoped timers --------------------------------------------------------------
 
-TEST(ScopedTimerTest, RecordsSimClockDelta) {
-  Histogram* hist = Registry().GetHistogram("aquila.test.timer_cycles");
-  hist->Reset();
-  SimClock clock;
-  clock.Charge(CostCategory::kUserWork, 100);  // pre-span time is not counted
-  {
-    telemetry::ScopedTimer timer(hist, clock);
-    clock.Charge(CostCategory::kUserWork, 500);
-  }
-  ASSERT_EQ(hist->Count(), 1u);
-  EXPECT_EQ(hist->Min(), 500u);
-  EXPECT_EQ(hist->Max(), 500u);
-
-  const telemetry::MetricsSnapshot snap = Registry().Snapshot();
-  const telemetry::MetricSample* sample = snap.Find("aquila.test.timer_cycles");
-  ASSERT_NE(sample, nullptr);
-  EXPECT_EQ(sample->kind, MetricKind::kHistogram);
-  EXPECT_EQ(sample->digest.count, 1u);
-  EXPECT_EQ(sample->digest.min, 500u);
-}
-
 TEST(ScopedTimerTest, TscTimerRecordsSomething) {
   Histogram* hist = Registry().GetHistogram("aquila.test.tsc_cycles");
   hist->Reset();
