@@ -10,11 +10,12 @@
 // IPI targeting at 1/4/8 cores; the table reports simulated shootdown cycles
 // per evicted page (initiator invalidation + IPI sends + absorbed victim
 // handler time, i.e. the whole CostCategory::kTlbShootdown bill), IPIs per
-// shootdown, and the reuse elide/mismatch counters. With private streams no
-// remote core ever maps a victim page, so mask+gen collapses the remote
-// phase while broadcast pays one IPI per other active core; reuse must beat
-// mask+gen at 8 cores by eliding same-owner recycles outright (the in-bench
-// acceptance gate below).
+// shootdown, and the reuse elide/mismatch counters; each cell is the
+// field-wise median of 15 runs. With private streams no remote core ever
+// maps a victim page, so mask+gen collapses the remote phase while
+// broadcast pays one IPI per other active core; reuse must beat mask+gen at
+// 8 cores by eliding same-owner recycles outright (the in-bench acceptance
+// gate below).
 //
 // Part 2 — the reused-pages elision on a single thread: a sequential scan
 // with active_cores=4 must elide every remote IPI (aquila.tlb.ipis_elided
@@ -24,8 +25,10 @@
 //
 // Emits BENCH_tlb_shootdown.json; `--smoke` shrinks the run for CI, which
 // keeps a perf trajectory for the shootdown fan-out.
+#include <algorithm>
 #include <cinttypes>
 #include <cstring>
+#include <latch>
 #include <thread>
 #include <vector>
 
@@ -71,6 +74,9 @@ Row RunEvictionChurn(ShootdownMaskMode mode, const char* mode_name, int threads,
   }
 
   std::atomic<uint64_t> shootdown_cycles{0};
+  // Every thread starts its measured loop together: otherwise the first
+  // threads churn alone while the rest are still being created.
+  std::latch start(threads);
   std::vector<std::thread> pool;
   for (int t = 0; t < threads; t++) {
     pool.emplace_back([&, t] {
@@ -87,6 +93,7 @@ Row RunEvictionChurn(ShootdownMaskMode mode, const char* mode_name, int threads,
       uint64_t map_pages = map->length() / kPageSize;
       CostBreakdown before = clock.Breakdown();
       uint64_t last_offset = 0;
+      start.arrive_and_wait();
       for (uint64_t i = 0; i < ops_per_thread; i++) {
         last_offset = rng.Uniform(map_pages) * kPageSize + 64;
         map->TouchRead(last_offset);
@@ -138,6 +145,31 @@ Row RunEvictionChurn(ShootdownMaskMode mode, const char* mode_name, int threads,
   for (MemoryMap* map : maps) {
     AQUILA_CHECK(runtime->Unmap(map).ok());
   }
+  return row;
+}
+
+// Field-wise median over repeated runs of one sweep cell. Which core evicts
+// whose page is decided by host scheduling, so a single run scatters; the
+// median is what the committed trajectory and the gates below compare.
+Row MedianRow(const std::vector<Row>& runs) {
+  auto median = [&runs]<typename T>(T Row::*field) {
+    std::vector<T> values;
+    for (const Row& run : runs) {
+      values.push_back(run.*field);
+    }
+    std::nth_element(values.begin(), values.begin() + values.size() / 2, values.end());
+    return values[values.size() / 2];
+  };
+  Row row = runs.front();
+  row.cycles_per_evicted_page = median(&Row::cycles_per_evicted_page);
+  row.ipis_per_shootdown = median(&Row::ipis_per_shootdown);
+  row.shootdowns = median(&Row::shootdowns);
+  row.ipis_sent = median(&Row::ipis_sent);
+  row.ipis_elided = median(&Row::ipis_elided);
+  row.shootdowns_local = median(&Row::shootdowns_local);
+  row.evicted_pages = median(&Row::evicted_pages);
+  row.reuse_elided = median(&Row::reuse_elided);
+  row.reuse_mismatch = median(&Row::reuse_mismatch);
   return row;
 }
 
@@ -221,10 +253,15 @@ int main(int argc, char** argv) {
   const ModeCase kModes[] = {{ShootdownMaskMode::kBroadcast, "broadcast"},
                              {ShootdownMaskMode::kMaskGen, "mask+gen"},
                              {ShootdownMaskMode::kReuseElide, "reuse"}};
+  constexpr int kRepeats = 15;
   std::vector<Row> sweep;
   for (int cores : kCores) {
     for (const ModeCase& mc : kModes) {
-      Row row = RunEvictionChurn(mc.mode, mc.name, cores, kDataPerThread, kOpsPerThread);
+      std::vector<Row> runs;
+      for (int r = 0; r < kRepeats; r++) {
+        runs.push_back(RunEvictionChurn(mc.mode, mc.name, cores, kDataPerThread, kOpsPerThread));
+      }
+      Row row = MedianRow(runs);
       PrintRow(row);
       sweep.push_back(row);
     }
@@ -257,6 +294,7 @@ int main(int argc, char** argv) {
                "\"private random reads + transient drops (1/8 ops, 1/16 cross-owner), "
                "4:1 data:cache, eviction churn\"");
   json.AddMeta("ops_per_thread", std::to_string(kOpsPerThread));
+  json.AddMeta("repeats", std::to_string(kRepeats));
   json.BeginSection("sweep");
   for (const Row& row : sweep) {
     json.AddRow(JsonRow(row));

@@ -91,6 +91,7 @@ void TwoLevelFreelist::AddFrames(FrameId first, uint32_t count, uint64_t align_p
   const uint32_t nodes = static_cast<uint32_t>(run_queues_.size());
   while (run + kRunFrames <= end) {
     run_queues_[node % nodes].Push(run);
+    free_frames_.fetch_add(kRunFrames, std::memory_order_relaxed);
     node++;
     run += kRunFrames;
   }
@@ -118,11 +119,20 @@ void TwoLevelFreelist::AddSingles(FrameId first, uint32_t count) {
       next_[cursor + i].store(cursor + i + 1, std::memory_order_relaxed);
     }
     numa_queues_[node].PushChain(cursor, cursor + n - 1, n);
+    free_frames_.fetch_add(n, std::memory_order_relaxed);
     cursor += n;
   }
 }
 
 FrameId TwoLevelFreelist::Alloc(int core) {
+  FrameId frame = PopFrame(core);
+  if (frame != kInvalidFrame) {
+    free_frames_.fetch_sub(1, std::memory_order_relaxed);
+  }
+  return frame;
+}
+
+FrameId TwoLevelFreelist::PopFrame(int core) {
   FrameId frame = core_queues_[core].Pop();
   if (frame != kInvalidFrame) {
     stats_.core_hits.fetch_add(1, std::memory_order_relaxed);
@@ -146,11 +156,10 @@ FrameId TwoLevelFreelist::Alloc(int core) {
   }
   if (options_.carve_runs) {
     // Last resort under 4K pressure: break an intact run into singles rather
-    // than force an eviction while 2 MB of frames sit idle. The run is
-    // popped whole before any of its frames become visible as singles, so
-    // ApproxFree only ever understates across the transition. The reserve
-    // watermark is checked approximately — a racing breaker can take the
-    // count below it, which costs one promotion opportunity, not safety.
+    // than force an eviction while 2 MB of frames sit idle. The run's frames
+    // stay counted in free_frames_; Alloc subtracts the one handed out. The
+    // reserve watermark is checked approximately — a racing breaker can take
+    // the count below it, which costs one promotion opportunity, not safety.
     uint32_t intact = 0;
     for (const FrameStack& q : run_queues_) {
       intact += q.ApproxSize();
@@ -214,6 +223,7 @@ FrameId TwoLevelFreelist::AllocRun(int core) {
   int local_node = NumaTopology::NodeOfCore(core) % static_cast<int>(run_queues_.size());
   FrameId run = PopRun(local_node);
   if (run != kInvalidFrame) {
+    free_frames_.fetch_sub(kRunFrames, std::memory_order_relaxed);
     stats_.run_allocs.fetch_add(1, std::memory_order_relaxed);
   }
   return run;
@@ -224,6 +234,7 @@ void TwoLevelFreelist::FreeRun(int core, FrameId first) {
   AQUILA_DCHECK(static_cast<uint64_t>(first) + kRunFrames <= capacity_);
   int local_node = NumaTopology::NodeOfCore(core) % static_cast<int>(run_queues_.size());
   run_queues_[local_node].Push(first);
+  free_frames_.fetch_add(kRunFrames, std::memory_order_relaxed);
   stats_.run_frees.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -248,6 +259,7 @@ void TwoLevelFreelist::Free(int core, FrameId frame, const ReuseStamp& stamp) {
   // slot is owned by whoever holds the frame outside the stacks.
   stamps_[frame] = stamp;
   core_queues_[core].Push(frame);
+  free_frames_.fetch_add(1, std::memory_order_relaxed);
   MaybeOverflow(core);
 }
 
@@ -266,6 +278,7 @@ void TwoLevelFreelist::FreeBatch(int core, const FrameId* frames, uint32_t count
   AQUILA_RACE_POINT("freelist.free_batch.pre_publish");
   int node = NumaTopology::NodeOfCore(core) % static_cast<int>(numa_queues_.size());
   numa_queues_[node].PushChain(frames[0], frames[count - 1], count);
+  free_frames_.fetch_add(count, std::memory_order_relaxed);
   stats_.batch_moves.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -280,9 +293,9 @@ void TwoLevelFreelist::MaybeOverflow(int core) {
   if (n == 0) {
     return;
   }
-  // Between the pop above and the publish below the batch is invisible to
-  // every queue — ApproxFree transiently understates. Stretch the window so
-  // the stress harness can check the "conservative, never inflated" claim.
+  // Between the pop above and the publish below the batch is on no queue but
+  // still counted free. Stretch the window so the stress harness can check
+  // that ApproxFree never exceeds capacity across it.
   AQUILA_RACE_POINT("freelist.migrate.pre_publish");
   for (uint32_t i = 0; i + 1 < n; i++) {
     next_[batch[i]].store(batch[i + 1], std::memory_order_relaxed);
@@ -293,24 +306,13 @@ void TwoLevelFreelist::MaybeOverflow(int core) {
 }
 
 uint64_t TwoLevelFreelist::ApproxFree() const {
-  uint64_t total = 0;
-  for (const FrameStack& q : core_queues_) {
-    total += q.ApproxSize();
-  }
-  for (const FrameStack& q : numa_queues_) {
-    total += q.ApproxSize();
-  }
-  // Each queued run counts as kRunFrames. A frame is reachable from exactly
-  // one queue — via its run head above, or as a single in the sums before —
-  // never both, so runs cannot double-count. Both transitions that move
-  // frames across the run/single boundary (AllocRun handing a run out,
-  // Alloc's break-run fallback) pop the run *before* any of its frames are
-  // republished as singles, so like the batch-migration window the estimate
-  // transiently understates across a run boundary; it never inflates.
-  for (const FrameStack& q : run_queues_) {
-    total += static_cast<uint64_t>(q.ApproxSize()) * kRunFrames;
-  }
-  return total;
+  // One counter, not a sum of queue sizes: a sum read mid-churn counts a
+  // frame twice when it moves from a summed queue to one not yet summed.
+  // Pushes add after their CAS and pops subtract after theirs, and a frame
+  // is pushed again only after its pop subtracted, so the counter never
+  // exceeds capacity; it can dip below zero while an add trails.
+  int64_t free = free_frames_.load(std::memory_order_relaxed);
+  return free > 0 ? static_cast<uint64_t>(free) : 0;
 }
 
 }  // namespace aquila

@@ -191,10 +191,12 @@ class TwoLevelFreelist {
   }
 
   const Stats& stats() const { return stats_; }
+  // Frames on the queues: exact when quiescent, never above capacity.
   uint64_t ApproxFree() const;
 
  private:
   void AddSingles(FrameId first, uint32_t count);
+  FrameId PopFrame(int core);
   FrameId PopRun(int local_node);
   void MaybeOverflow(int core);
 
@@ -209,10 +211,12 @@ class TwoLevelFreelist {
   std::vector<FrameStack> numa_queues_;  // one per NUMA node
   // One run queue per NUMA node, intrusive over the same next_[] array: a
   // run is linked into a queue by its first frame only, so a frame is
-  // reachable from exactly one queue — a single queue (counted as 1 by
-  // ApproxFree) or, via its run head, a run queue (counted as kRunFrames).
-  // Populated only under Options::carve_runs.
+  // reachable from exactly one queue — a single queue or, via its run head,
+  // a run queue. Populated only under Options::carve_runs.
   std::vector<FrameStack> run_queues_;
+  // Frames on any queue, a queued run counting kRunFrames; level moves
+  // leave it alone.
+  alignas(kCacheLineSize) std::atomic<int64_t> free_frames_{0};
   Stats stats_;
 };
 

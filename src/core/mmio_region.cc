@@ -140,9 +140,11 @@ Status AquilaMap::TearDown() {
   // (the region id dies with the mapping): fold them into the final batch.
   runtime_->tlb().DrainDeferredRegion(vma_.mapping_id, &vpns);
   runtime_->ShootdownPages(vcpu, vpns);
-  int core = vcpu.core();
-  for (FrameId frame : frames) {
-    cache.FreeFrame(core, frame);
+  // One burst to the NUMA level: the unmapping thread may never allocate
+  // again, and frames left in its core queue are out of every other core's
+  // reach.
+  if (!frames.empty()) {
+    cache.FreeFrames(vcpu.core(), frames.data(), static_cast<uint32_t>(frames.size()));
   }
   if (transparent_base_ != nullptr) {
     TrapDriver::ReleaseRange(transparent_base_, vma_.page_count * kPageSize);

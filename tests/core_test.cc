@@ -189,6 +189,35 @@ TEST_F(AquilaTest, UnmapFlushesDirtyPages) {
   EXPECT_EQ(runtime_->cache().ApproxFreeFrames(), kCachePages);
 }
 
+// A thread that unmaps and exits must not strand its frames in its own
+// core's queue, which no other core allocates from: the next mapping that
+// needs the whole cache gets every frame without evicting.
+TEST_F(AquilaTest, UnmapReturnsFramesToEveryCore) {
+  const int main_core = CoreRegistry::CurrentCore();
+  std::thread worker([&] {
+    CoreRegistry::SetCurrentCoreForTest((main_core + 1) % CoreRegistry::kMaxCores);
+    runtime_->EnterThread();
+    DeviceBacking backing(device_.get(), 0, 1 << 20);
+    StatusOr<MemoryMap*> map = runtime_->Map(&backing, 1 << 20, kProtRead);
+    ASSERT_TRUE(map.ok());
+    for (uint64_t off = 0; off < (1 << 20); off += kPageSize) {
+      (*map)->TouchRead(off);
+    }
+    ASSERT_TRUE(runtime_->Unmap(*map).ok());
+  });
+  worker.join();
+
+  DeviceBacking backing(device_.get(), 8 << 20, kCachePages * kPageSize);
+  StatusOr<MemoryMap*> map = runtime_->Map(&backing, kCachePages * kPageSize, kProtRead);
+  ASSERT_TRUE(map.ok());
+  ASSERT_TRUE((*map)->Advise(0, kCachePages * kPageSize, Advice::kRandom).ok());
+  for (uint64_t p = 0; p < kCachePages; p++) {
+    (*map)->TouchRead(p * kPageSize);
+  }
+  EXPECT_EQ(runtime_->fault_stats().evicted_pages.load(), 0u);
+  ASSERT_TRUE(runtime_->Unmap(*map).ok());
+}
+
 TEST_F(AquilaTest, SequentialAdviceTriggersReadAhead) {
   FillDevice(0, 1 << 20);
   DeviceBacking backing(device_.get(), 0, 1 << 20);
