@@ -24,7 +24,6 @@
 #include "src/storage/pmem_device.h"
 #include "src/telemetry/metrics.h"
 #include "src/telemetry/span.h"
-#include "src/telemetry/trace.h"
 #include "src/util/logging.h"
 
 namespace aquila {
@@ -422,15 +421,17 @@ class BenchJsonWriter {
 
 // End-of-run telemetry exposition, controlled by environment variables:
 //   AQUILA_METRICS=1       print the registry's Prometheus-style text dump
-//   AQUILA_TRACE=<path>    arm the tracer at startup and write a Chrome
-//                          trace (open in ui.perfetto.dev) at exit
+//   AQUILA_TRACE=<path>    write the span collector's retained request trees
+//                          as a Chrome trace (open in ui.perfetto.dev) at
+//                          exit; sampling defaults to every request unless
+//                          AQUILA_SPAN_SAMPLE says otherwise
 inline void ReportTelemetry() {
   if (const char* metrics = std::getenv("AQUILA_METRICS");
       metrics != nullptr && *metrics != '\0' && *metrics != '0') {
     std::fputs(telemetry::Registry().ToText().c_str(), stdout);
   }
   // Per-request attribution whenever span sampling recorded anything
-  // (AQUILA_SPAN_SAMPLE armed it and requests actually finalized).
+  // (AQUILA_SPAN_SAMPLE or AQUILA_TRACE armed it and requests finalized).
   if (telemetry::SpanCollector::Global().finalized() > 0) {
     std::fputs(telemetry::SpanCollector::Global().AttributionText().c_str(), stdout);
   }
@@ -438,7 +439,8 @@ inline void ReportTelemetry() {
   if (trace_path == nullptr || *trace_path == '\0') {
     return;
   }
-  std::string json = telemetry::Tracer::DumpChromeTrace(GlobalCostModel().cycles_per_us);
+  std::string json =
+      telemetry::SpanCollector::Global().ChromeTraceJson(GlobalCostModel().cycles_per_us);
   std::FILE* f = std::fopen(trace_path, "w");
   if (f == nullptr) {
     AQUILA_LOG(ERROR, "cannot write trace file %s", trace_path);
@@ -450,13 +452,17 @@ inline void ReportTelemetry() {
              json.size(), trace_path);
 }
 
-// Arms tracing when AQUILA_TRACE is set and reports telemetry at exit.
-// Instantiated once per benchmark binary via the inline variable below.
+// Arms 1-in-1 span sampling when AQUILA_TRACE is set without
+// AQUILA_SPAN_SAMPLE, and reports telemetry at exit. Instantiated once per
+// benchmark binary via the inline variable below.
 struct TelemetryBenchInit {
   TelemetryBenchInit() {
     const char* trace_path = std::getenv("AQUILA_TRACE");
-    if (trace_path != nullptr && *trace_path != '\0') {
-      telemetry::Tracer::SetEnabled(true);
+    if (trace_path != nullptr && *trace_path != '\0' &&
+        std::getenv("AQUILA_SPAN_SAMPLE") == nullptr) {
+      telemetry::SpanCollector::Options options = telemetry::SpanCollector::Global().options();
+      options.sample_every = 1;
+      telemetry::SpanCollector::Global().Configure(options);
     }
     std::atexit(+[] { ReportTelemetry(); });
   }

@@ -335,8 +335,7 @@ StatusOr<FrameId> AquilaMap::HandleFault(Vcpu& vcpu, uint64_t vaddr, bool write,
     }
     runtime_->fault_stats().write_upgrades.fetch_add(1, std::memory_order_relaxed);
     AQUILA_TELEMETRY_ONLY(telemetry::RecordSpanSince(GetFaultMetrics().fault_upgrade,
-                                                     telemetry::TraceEventType::kFaultUpgrade,
-                                                     vcpu.clock(), fault_start, vaddr));
+                                                     vcpu.clock(), fault_start));
     return frame;
   }
 
@@ -449,9 +448,8 @@ StatusOr<FrameId> AquilaMap::HandleFault(Vcpu& vcpu, uint64_t vaddr, bool write,
         }
         f.state.store(FrameState::kResident, std::memory_order_release);
         runtime_->fault_stats().minor_faults.fetch_add(1, std::memory_order_relaxed);
-        AQUILA_TELEMETRY_ONLY(telemetry::RecordSpanSince(
-            GetFaultMetrics().fault_minor, telemetry::TraceEventType::kFaultMinor, vcpu.clock(),
-            fault_start, vaddr));
+        AQUILA_TELEMETRY_ONLY(
+            telemetry::RecordSpanSince(GetFaultMetrics().fault_minor, vcpu.clock(), fault_start));
         return frame;
       }
       if (engine_ != nullptr && expected == FrameState::kWritingBack) {
@@ -583,9 +581,8 @@ StatusOr<FrameId> AquilaMap::HandleFault(Vcpu& vcpu, uint64_t vaddr, bool write,
   if (advice_.load(std::memory_order_relaxed) == Advice::kSequential) {
     (void)ReadAhead(vcpu, file_page);  // best effort: a failed prefetch is not a fault error
   }
-  AQUILA_TELEMETRY_ONLY(telemetry::RecordSpanSince(GetFaultMetrics().fault_major,
-                                                   telemetry::TraceEventType::kFaultMajor,
-                                                   vcpu.clock(), fault_start, vaddr));
+  AQUILA_TELEMETRY_ONLY(
+      telemetry::RecordSpanSince(GetFaultMetrics().fault_major, vcpu.clock(), fault_start));
   return frame;
 }
 
@@ -827,9 +824,8 @@ StatusOr<size_t> AquilaMap::EvictBatch(Vcpu& vcpu) {
   size_t freed = FinishReclaim(vcpu, batch);
   stats.evicted_pages.fetch_add(freed, std::memory_order_relaxed);
   evict_span.set_arg(freed);
-  AQUILA_TELEMETRY_ONLY(telemetry::RecordSpanSince(GetFaultMetrics().evict_batch,
-                                                   telemetry::TraceEventType::kEvictBatch,
-                                                   vcpu.clock(), evict_start, freed));
+  AQUILA_TELEMETRY_ONLY(
+      telemetry::RecordSpanSince(GetFaultMetrics().evict_batch, vcpu.clock(), evict_start));
   return freed;
 }
 
@@ -1241,10 +1237,8 @@ Status AquilaMap::Sync(uint64_t offset, uint64_t length) {
   for (FrameId frame : claimed) {
     cache.frame(frame).state.store(FrameState::kResident, std::memory_order_release);
   }
-  AQUILA_TELEMETRY_ONLY(telemetry::RecordSpanSince(GetFaultMetrics().msync,
-                                                   telemetry::TraceEventType::kMsync,
-                                                   vcpu.clock(), msync_start,
-                                                   planner.size()));
+  AQUILA_TELEMETRY_ONLY(
+      telemetry::RecordSpanSince(GetFaultMetrics().msync, vcpu.clock(), msync_start));
   return Status::Ok();
 }
 

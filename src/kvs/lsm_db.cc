@@ -225,8 +225,6 @@ Status LsmDb::FlushMemTableLocked() {
     return Status::Ok();
   }
   stats_.flushes.fetch_add(1, std::memory_order_relaxed);
-  AQUILA_TELEMETRY_ONLY(telemetry::TraceSpan span(telemetry::TraceEventType::kMemtableFlush,
-                                                  ThisVcpu().clock()));
   uint64_t file_number = next_file_number_.fetch_add(1, std::memory_order_relaxed);
   StatusOr<std::unique_ptr<WritableFile>> file =
       options_.env->NewWritableFile(SstPath(file_number));
@@ -393,9 +391,7 @@ Status LsmDb::CompactLevelLocked(int level) {
   for (const TableMeta& table : target_inputs) {
     (void)options_.env->DeleteFile(SstPath(table.file_number));
   }
-  AQUILA_TELEMETRY_ONLY(telemetry::RecordSpanSince(compaction_hist,
-                                                   telemetry::TraceEventType::kCompaction,
-                                                   clock, compact_start, level));
+  AQUILA_TELEMETRY_ONLY(telemetry::RecordSpanSince(compaction_hist, clock, compact_start));
   return WriteManifest();
 }
 

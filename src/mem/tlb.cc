@@ -188,8 +188,7 @@ void TlbSet::Shootdown(SimClock& clock, int initiator_core, int active_cores,
     shootdowns_local_.fetch_add(1, std::memory_order_relaxed);
   }
 #if AQUILA_TELEMETRY_ENABLED
-  telemetry::RecordSpanSince(shootdown_hist, telemetry::TraceEventType::kShootdown, clock,
-                             start_cycles, pages.size());
+  telemetry::RecordSpanSince(shootdown_hist, clock, start_cycles);
 #endif
 }
 

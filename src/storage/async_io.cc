@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "src/telemetry/scoped_timer.h"
+#include "src/telemetry/metrics.h"
 #include "src/util/bitops.h"
 #include "src/util/logging.h"
 
@@ -64,7 +64,6 @@ StatusOr<uint32_t> AsyncIoRing::Submit(Vcpu& vcpu) {
       telemetry::Registry().GetCounter("aquila.storage.ring_sqes");
   ring_submits->Add();
   ring_sqes->Add(pending_.size());
-  const uint64_t submit_start = vcpu.clock().Now();
 #endif
   // ONE kernel entry for the whole batch.
   vcpu.ChargeSyscall();
@@ -86,12 +85,6 @@ StatusOr<uint32_t> AsyncIoRing::Submit(Vcpu& vcpu) {
     submitted++;
   }
   pending_.clear();
-#if AQUILA_TELEMETRY_ENABLED
-  if (telemetry::Tracer::Enabled()) {
-    telemetry::Tracer::Record(telemetry::TraceEventType::kRingSubmit, submit_start,
-                              vcpu.clock().Now() - submit_start, submitted);
-  }
-#endif
   return submitted;
 }
 

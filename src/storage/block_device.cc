@@ -119,9 +119,8 @@ Status BlockDevice::Read(Vcpu& vcpu, uint64_t offset, std::span<uint8_t> dst) {
   if (status.ok()) {
     stats_.reads.fetch_add(1, std::memory_order_relaxed);
     stats_.bytes_read.fetch_add(dst.size(), std::memory_order_relaxed);
-    AQUILA_TELEMETRY_ONLY(telemetry::RecordSpanSince(GetDeviceHistograms().read,
-                                                     telemetry::TraceEventType::kDeviceRead,
-                                                     vcpu.clock(), start, dst.size()));
+    AQUILA_TELEMETRY_ONLY(
+        telemetry::RecordSpanSince(GetDeviceHistograms().read, vcpu.clock(), start));
   }
   return status;
 }
@@ -136,9 +135,8 @@ Status BlockDevice::Write(Vcpu& vcpu, uint64_t offset, std::span<const uint8_t> 
   if (status.ok()) {
     stats_.writes.fetch_add(1, std::memory_order_relaxed);
     stats_.bytes_written.fetch_add(src.size(), std::memory_order_relaxed);
-    AQUILA_TELEMETRY_ONLY(telemetry::RecordSpanSince(GetDeviceHistograms().write,
-                                                     telemetry::TraceEventType::kDeviceWrite,
-                                                     vcpu.clock(), start, src.size()));
+    AQUILA_TELEMETRY_ONLY(
+        telemetry::RecordSpanSince(GetDeviceHistograms().write, vcpu.clock(), start));
   }
   return status;
 }
@@ -155,9 +153,8 @@ Status BlockDevice::WriteBatch(Vcpu& vcpu, std::span<const uint64_t> offsets,
   if (status.ok()) {
     stats_.writes.fetch_add(offsets.size(), std::memory_order_relaxed);
     stats_.bytes_written.fetch_add(offsets.size() * page_bytes, std::memory_order_relaxed);
-    AQUILA_TELEMETRY_ONLY(telemetry::RecordSpanSince(
-        GetDeviceHistograms().write_batch, telemetry::TraceEventType::kDeviceWriteBatch,
-        vcpu.clock(), start, offsets.size()));
+    AQUILA_TELEMETRY_ONLY(
+        telemetry::RecordSpanSince(GetDeviceHistograms().write_batch, vcpu.clock(), start));
   }
   return status;
 }
@@ -174,9 +171,8 @@ Status BlockDevice::ReadBatch(Vcpu& vcpu, std::span<const uint64_t> offsets,
   if (status.ok()) {
     stats_.reads.fetch_add(offsets.size(), std::memory_order_relaxed);
     stats_.bytes_read.fetch_add(offsets.size() * page_bytes, std::memory_order_relaxed);
-    AQUILA_TELEMETRY_ONLY(telemetry::RecordSpanSince(
-        GetDeviceHistograms().read_batch, telemetry::TraceEventType::kDeviceReadBatch,
-        vcpu.clock(), start, offsets.size()));
+    AQUILA_TELEMETRY_ONLY(
+        telemetry::RecordSpanSince(GetDeviceHistograms().read_batch, vcpu.clock(), start));
   }
   return status;
 }

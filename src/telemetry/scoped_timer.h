@@ -6,8 +6,7 @@
 //                         queueing all land in it). Non-RAII, for paths with
 //                         multiple classified exits (the fault handler
 //                         doesn't know whether a fault is major or minor
-//                         until it returns); also emits the matching trace
-//                         event when tracing is armed.
+//                         until it returns).
 //   - ScopedTscTimer    : real TSC cycles (ReadCyclesFenced) — for software
 //                         paths executed for real that have no SimClock in
 //                         scope (e.g. dirty-tree spinlock sections).
@@ -19,7 +18,6 @@
 
 #include "src/telemetry/metrics.h"
 #include "src/telemetry/telemetry_config.h"
-#include "src/telemetry/trace.h"
 #include "src/util/cpu.h"
 #include "src/util/histogram.h"
 #include "src/util/sim_clock.h"
@@ -50,25 +48,17 @@ class ScopedTscTimer {
   ScopedTscTimer& operator=(const ScopedTscTimer&) = delete;
 };
 
-// Records `clock.Now() - start` into `histogram` and, when tracing is
-// armed, a matching trace event. For paths that classify the span only at
-// exit; `start` should be a clock.Now() captured at entry.
-inline void RecordSpanSince(Histogram* histogram, TraceEventType type, const SimClock& clock,
-                            uint64_t start, uint64_t arg = 0) {
+// Records `clock.Now() - start` into `histogram`. For paths that classify
+// the span only at exit; `start` should be a clock.Now() captured at entry.
+inline void RecordSpanSince(Histogram* histogram, const SimClock& clock, uint64_t start) {
 #if AQUILA_TELEMETRY_ENABLED
-  uint64_t duration = clock.Now() - start;
   if (histogram != nullptr) {
-    histogram->Record(duration);
-  }
-  if (Tracer::Enabled()) {
-    Tracer::Record(type, start, duration, arg);
+    histogram->Record(clock.Now() - start);
   }
 #else
   (void)histogram;
-  (void)type;
   (void)clock;
   (void)start;
-  (void)arg;
 #endif
 }
 

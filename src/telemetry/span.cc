@@ -311,21 +311,38 @@ bool SpanCollector::Attribution(SpanOp op, double quantile, PhaseAttribution* ou
 
 namespace {
 
+void AppendSpanJson(std::ostringstream& out, const SpanRecord& span) {
+  out << "{\"span_id\":" << span.span_id << ",\"parent_id\":" << span.parent_id
+      << ",\"phase\":\"" << SpanPhaseName(span.phase) << "\",\"start_cycles\":" << span.start_cycles
+      << ",\"duration_cycles\":" << (span.end_cycles - span.start_cycles)
+      << ",\"arg\":" << span.arg << ",\"core\":" << span.core << "}";
+}
+
 void AppendTreeJson(std::ostringstream& out, const SpanTree& tree) {
   out << "{\"trace_id\":" << tree.trace_id << ",\"op\":\"" << SpanOpName(tree.op)
       << "\",\"wall_cycles\":" << tree.wall_cycles << ",\"child_cycles\":" << tree.child_cycles
       << ",\"spans\":[";
   for (size_t i = 0; i < tree.spans.size(); ++i) {
-    const SpanRecord& span = tree.spans[i];
     if (i > 0) {
       out << ",";
     }
-    out << "{\"span_id\":" << span.span_id << ",\"parent_id\":" << span.parent_id
-        << ",\"phase\":\"" << SpanPhaseName(span.phase) << "\",\"start_cycles\":" << span.start_cycles
-        << ",\"duration_cycles\":" << (span.end_cycles - span.start_cycles)
-        << ",\"arg\":" << span.arg << ",\"core\":" << span.core << "}";
+    AppendSpanJson(out, tree.spans[i]);
   }
   out << "]}";
+}
+
+// Simulated cycles -> whole nanoseconds, truncated: truncation is monotone,
+// so a child interval nested in its parent stays nested after conversion.
+uint64_t CyclesToNs(uint64_t cycles, uint64_t cycles_per_us) {
+  return cycles / cycles_per_us * 1000 + cycles % cycles_per_us * 1000 / cycles_per_us;
+}
+
+// Nanoseconds as the Chrome format's microseconds, three decimals.
+void AppendMicros(std::ostringstream& out, uint64_t ns) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%llu.%03llu", static_cast<unsigned long long>(ns / 1000),
+                static_cast<unsigned long long>(ns % 1000));
+  out << buf;
 }
 
 }  // namespace
@@ -406,6 +423,30 @@ std::string SpanCollector::AttributionText() const {
       out << "\n";
     }
   }
+  return out.str();
+}
+
+std::string SpanCollector::ChromeTraceJson(uint64_t cycles_per_us) const {
+  cycles_per_us = std::max<uint64_t>(cycles_per_us, 1);
+  std::ostringstream out;
+  out << "{\"traceEvents\":[";
+  const char* separator = "";
+  for (const SpanTree& tree : RetainedTrees()) {
+    for (const SpanRecord& span : tree.spans) {
+      const uint64_t start_ns = CyclesToNs(span.start_cycles, cycles_per_us);
+      const uint64_t end_ns = CyclesToNs(span.end_cycles, cycles_per_us);
+      out << separator << "{\"name\":\"" << SpanPhaseName(span.phase) << "\",\"cat\":\""
+          << SpanOpName(tree.op) << "\",\"ph\":\"X\",\"ts\":";
+      AppendMicros(out, start_ns);
+      out << ",\"dur\":";
+      AppendMicros(out, end_ns - start_ns);
+      out << ",\"pid\":1,\"tid\":" << span.trace_id << ",\"args\":";
+      AppendSpanJson(out, span);
+      out << "}";
+      separator = ",";
+    }
+  }
+  out << "],\"displayTimeUnit\":\"ms\"}";
   return out.str();
 }
 

@@ -27,6 +27,10 @@
 // sampled baseline — everything else is discarded after the attribution
 // summary is updated, so memory stays bounded no matter the run length.
 //
+// Export: SlowTracesJson() serves the retained trees with their attribution
+// (/slow); ChromeTraceJson() renders the same trees as Chrome trace events
+// (/traces, and the AQUILA_TRACE=<path> file the benches write at exit).
+//
 // Sampling is off by default (Options::sample_every == 0): RequestSpan
 // costs one relaxed atomic load and ChildSpan one thread-local read on the
 // fault path. With AQUILA_TELEMETRY_ENABLED=0 both compile to empty
@@ -185,6 +189,12 @@ class SpanCollector {
   std::string SlowTracesJson() const;
   // Human-readable attribution table (bench end-of-run report).
   std::string AttributionText() const;
+  // Chrome trace-event JSON ({"traceEvents":[...]}) of the retained trees,
+  // loadable in Perfetto / chrome://tracing: one "ph":"X" event per record,
+  // named by phase, with tid = trace id so each request gets its own row.
+  // `cycles_per_us` converts simulated cycles to the format's microseconds
+  // (pass GlobalCostModel().cycles_per_us).
+  std::string ChromeTraceJson(uint64_t cycles_per_us) const;
 
   uint64_t finalized() const { return finalized_count_.load(std::memory_order_relaxed); }
 

@@ -11,7 +11,6 @@
 
 #include "src/telemetry/metrics.h"
 #include "src/telemetry/span.h"
-#include "src/telemetry/trace.h"
 
 namespace aquila {
 namespace telemetry {
@@ -186,7 +185,7 @@ void StatsServer::HandleConnection(int fd) {
     WriteResponse(fd, 200, "OK", "application/json", Registry().ToJson());
   } else if (route == "/traces") {
     WriteResponse(fd, 200, "OK", "application/json",
-                  Tracer::DumpChromeTrace(options_.cycles_per_us));
+                  SpanCollector::Global().ChromeTraceJson(options_.cycles_per_us));
   } else if (route == "/slow") {
     WriteResponse(fd, 200, "OK", "application/json", SpanCollector::Global().SlowTracesJson());
   } else if (route == "/health") {

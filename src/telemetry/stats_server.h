@@ -6,7 +6,7 @@
 //
 //   /metrics       Prometheus text exposition (MetricsRegistry::ToText)
 //   /metrics.json  flat JSON of the same snapshot
-//   /traces        Chrome trace-event JSON from the ring tracer
+//   /traces        Chrome trace-event JSON of the retained span trees
 //   /slow          flight-recorder span trees + percentile attribution
 //   /health        per-device health state machines (provider-installed)
 //

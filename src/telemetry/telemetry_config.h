@@ -2,7 +2,7 @@
 //
 // The build defines AQUILA_TELEMETRY_ENABLED=0 when the CMake option
 // AQUILA_TELEMETRY is OFF; hot-path recording (Counter::Add, ScopedTscTimer,
-// TraceSpan) then compiles to nothing. The MetricsRegistry itself always
+// RecordSpanSince, RequestSpan/ChildSpan) then compiles to nothing. The MetricsRegistry itself always
 // exists so exposition call sites keep linking in either configuration.
 #ifndef AQUILA_SRC_TELEMETRY_TELEMETRY_CONFIG_H_
 #define AQUILA_SRC_TELEMETRY_TELEMETRY_CONFIG_H_

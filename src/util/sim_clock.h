@@ -158,9 +158,11 @@ class SerializedResource {
   std::atomic<uint64_t> acquisitions_{0};
 };
 
-// RAII cycle measurement: charges the real (rdtsc-measured) duration of a
-// scope to a category on a SimClock. Used for software paths we execute for
-// real (hash lookups, tree ops, memcpy).
+// RAII cycle measurement: charges the real duration of a scope to a category
+// on a SimClock. The duration is the calling thread's CPU time, read with
+// clock_gettime(CLOCK_THREAD_CPUTIME_ID) at both ends and converted to cycles
+// at the modeled 2.4 cycles/ns. Used for software paths we execute for real
+// (hash lookups, tree ops, memcpy).
 class ScopedMeasure {
  public:
   ScopedMeasure(SimClock& clock, CostCategory category);

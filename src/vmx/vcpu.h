@@ -12,7 +12,6 @@
 #include <cstdint>
 
 #include "src/telemetry/metrics.h"
-#include "src/telemetry/trace.h"
 #include "src/util/cpu.h"
 #include "src/util/sim_clock.h"
 #include "src/vmx/cost_model.h"
@@ -94,7 +93,6 @@ class Vcpu {
     VcpuMetrics().vmcalls->Add();
     VcpuMetrics().vmexits->Add();
     const CostModel& costs = GlobalCostModel();
-    telemetry::TraceSpan span(telemetry::TraceEventType::kVmcall, clock_);
     clock_.Charge(CostCategory::kVmExit, costs.vmexit_roundtrip + costs.vmcall_dispatch);
   }
 
@@ -104,7 +102,6 @@ class Vcpu {
     counters_.vmexits++;
     VcpuMetrics().ept_faults->Add();
     VcpuMetrics().vmexits->Add();
-    telemetry::TraceSpan span(telemetry::TraceEventType::kEptFault, clock_);
     clock_.Charge(CostCategory::kVmExit, GlobalCostModel().ept_fault);
   }
 

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <ostream>
 #include <set>
 
 #include "src/cache/freelist.h"
@@ -273,6 +274,14 @@ struct AquilaShape {
   int write_percent;
 };
 
+// Names each instance by its fields (GoogleTest would otherwise print the
+// raw bytes, uninitialized padding included, and the CTest names would
+// change on every test discovery).
+void PrintTo(const AquilaShape& shape, std::ostream* os) {
+  *os << "cache" << shape.cache_pages << "_batch" << shape.eviction_batch << "_ra"
+      << shape.readahead << "_w" << shape.write_percent;
+}
+
 class AquilaSweepTest : public ::testing::TestWithParam<AquilaShape> {};
 
 TEST_P(AquilaSweepTest, ReadYourWritesUnderEviction) {
@@ -338,6 +347,11 @@ struct SstShape {
   int value_len;
   uint64_t block_size;
 };
+
+void PrintTo(const SstShape& shape, std::ostream* os) {
+  *os << "entries" << shape.entries << "_key" << shape.key_len << "_value" << shape.value_len
+      << "_block" << shape.block_size;
+}
 
 class SstShapeTest : public ::testing::TestWithParam<SstShape> {};
 

@@ -2,14 +2,16 @@
 //
 // Covers the RAII span types (root/child linkage, nesting, thread-local
 // context save/restore), cross-thread async completion accounting, the
-// flight-recorder retention tiers, percentile attribution, the /slow JSON
-// shape, and an end-to-end fault-path check that child phases tile each
+// flight-recorder retention tiers, percentile attribution, the /slow and
+// Chrome trace JSON shapes, and an end-to-end fault-path check that child phases tile each
 // sampled request's wall time. The concurrency stress at the bottom is also
 // built as span_test_tsan.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
@@ -56,6 +58,25 @@ class SpanTest : public ::testing::Test {
       }
     }
     return nullptr;
+  }
+
+  // Brackets and braces outside strings balance, and no string is left open.
+  static void ExpectBalancedJson(const std::string& json) {
+    int depth = 0;
+    bool in_string = false;
+    for (size_t i = 0; i < json.size(); i++) {
+      const char c = json[i];
+      if (c == '"' && (i == 0 || json[i - 1] != '\\')) {
+        in_string = !in_string;
+      } else if (!in_string && (c == '{' || c == '[')) {
+        depth++;
+      } else if (!in_string && (c == '}' || c == ']')) {
+        depth--;
+        ASSERT_GE(depth, 0);
+      }
+    }
+    EXPECT_EQ(depth, 0);
+    EXPECT_FALSE(in_string);
   }
 };
 
@@ -331,21 +352,112 @@ TEST_F(SpanTest, SlowTracesJsonIsWellFormed) {
   EXPECT_NE(json.find("\"slow\":["), std::string::npos);
   EXPECT_NE(json.find("\"spans\":["), std::string::npos);
   EXPECT_NE(json.find("\"phase\":\"device\""), std::string::npos);
-  int depth = 0;
-  bool in_string = false;
-  for (size_t i = 0; i < json.size(); i++) {
-    const char c = json[i];
-    if (c == '"' && (i == 0 || json[i - 1] != '\\')) {
-      in_string = !in_string;
-    } else if (!in_string && (c == '{' || c == '[')) {
-      depth++;
-    } else if (!in_string && (c == '}' || c == ']')) {
-      depth--;
-      ASSERT_GE(depth, 0);
-    }
+  ExpectBalancedJson(json);
+}
+
+// One Chrome "X" event as ChromeTraceJson renders it.
+struct ChromeEvent {
+  std::string name;
+  double ts = 0;
+  double dur = 0;
+  uint64_t tid = 0;
+  uint64_t span_id = 0;
+  uint64_t parent_id = 0;
+};
+
+// Parses the "ph":"X" events out of a ChromeTraceJson document (flat
+// events whose only nested object is "args").
+std::vector<ChromeEvent> ParseChromeEvents(const std::string& json) {
+  auto number_after = [&json](size_t from, const char* key) {
+    const size_t at = json.find(key, from);
+    return at == std::string::npos ? -1.0 : std::strtod(json.c_str() + at + std::strlen(key),
+                                                         nullptr);
+  };
+  std::vector<ChromeEvent> events;
+  for (size_t at = json.find("{\"name\":\""); at != std::string::npos;
+       at = json.find("{\"name\":\"", at + 1)) {
+    ChromeEvent event;
+    const size_t name_begin = at + std::strlen("{\"name\":\"");
+    event.name = json.substr(name_begin, json.find('"', name_begin) - name_begin);
+    EXPECT_EQ(json.find("\"ph\":\"X\"", at), json.find("\"ph\":", at));
+    event.ts = number_after(at, "\"ts\":");
+    event.dur = number_after(at, "\"dur\":");
+    event.tid = static_cast<uint64_t>(number_after(at, "\"tid\":"));
+    event.span_id = static_cast<uint64_t>(number_after(at, "\"span_id\":"));
+    event.parent_id = static_cast<uint64_t>(number_after(at, "\"parent_id\":"));
+    events.push_back(event);
   }
-  EXPECT_EQ(depth, 0);
-  EXPECT_FALSE(in_string);
+  return events;
+}
+
+TEST_F(SpanTest, ChromeTraceJsonRendersEverySpanRecord) {
+  SimClock clock;
+  clock.Charge(CostCategory::kUserWork, 2401);
+  SpanContext submitted;
+  uint64_t root_end = 0;
+  {
+    RequestSpan root(clock, SpanOp::kFaultMajor);
+    ASSERT_TRUE(root.active());
+    {
+      ChildSpan evict(clock, SpanPhase::kEvict);
+      clock.Charge(CostCategory::kCacheMgmt, 101);
+      {
+        ChildSpan shootdown(clock, SpanPhase::kShootdown);
+        clock.Charge(CostCategory::kTlbShootdown, 3333);
+      }
+      clock.Charge(CostCategory::kCacheMgmt, 7);
+    }
+    submitted = telemetry::CurrentSpanContext();
+    SpanCollector::Global().NoteAsyncSubmitted(submitted.trace_id);
+    clock.Charge(CostCategory::kUserWork, 59);
+    root_end = clock.Now();
+  }
+  // The async device child completes on another thread and outlives the root.
+  std::thread reaper([&submitted, root_end] {
+    SpanCollector::Global().CompleteAsync(submitted, SpanPhase::kDevice, root_end - 50,
+                                          root_end + 4800, /*arg=*/4096);
+  });
+  reaper.join();
+  ASSERT_EQ(SpanCollector::Global().finalized(), 1u);
+
+  const std::string json = SpanCollector::Global().ChromeTraceJson(/*cycles_per_us=*/2400);
+  EXPECT_EQ(json.rfind("{\"traceEvents\":[", 0), 0u);
+  EXPECT_EQ(json.back(), '}');
+  ExpectBalancedJson(json);
+
+  const std::vector<ChromeEvent> events = ParseChromeEvents(json);
+  const std::vector<SpanTree> trees = SpanCollector::Global().RetainedTrees();
+  ASSERT_EQ(trees.size(), 1u);
+  ASSERT_EQ(events.size(), trees[0].spans.size());
+  ASSERT_EQ(events.size(), 4u);
+  std::vector<std::string> names;
+  for (const ChromeEvent& event : events) {
+    names.push_back(event.name);
+    EXPECT_EQ(event.tid, submitted.trace_id);  // one row per request
+  }
+  std::sort(names.begin(), names.end());
+  EXPECT_EQ(names, (std::vector<std::string>{"device", "evict", "fault", "shootdown"}));
+
+  // 2401 cycles at 2400 cycles/us: the root starts 1.000 us in.
+  const auto root = std::find_if(events.begin(), events.end(),
+                                 [](const ChromeEvent& e) { return e.parent_id == 0; });
+  ASSERT_NE(root, events.end());
+  EXPECT_EQ(root->name, "fault");
+  EXPECT_DOUBLE_EQ(root->ts, 1.0);
+
+  // Every synchronous child lies inside its parent's [ts, ts + dur].
+  for (const ChromeEvent& child : events) {
+    if (child.parent_id == 0 || child.name == "device") {
+      continue;
+    }
+    const auto parent = std::find_if(events.begin(), events.end(), [&child](const ChromeEvent& e) {
+      return e.span_id == child.parent_id;
+    });
+    ASSERT_NE(parent, events.end()) << child.name;
+    EXPECT_GE(child.ts, parent->ts) << child.name;
+    EXPECT_LE(child.ts + child.dur, parent->ts + parent->dur + 1e-9) << child.name;
+    EXPECT_GT(child.dur, 0) << child.name;
+  }
 }
 
 // End-to-end: drive the real fault path (including evictions and async

@@ -19,7 +19,6 @@
 #include "src/telemetry/metrics.h"
 #include "src/telemetry/span.h"
 #include "src/telemetry/stats_server.h"
-#include "src/telemetry/trace.h"
 #include "src/util/sim_clock.h"
 
 namespace aquila {
@@ -28,7 +27,6 @@ namespace {
 using telemetry::Registry;
 using telemetry::SpanCollector;
 using telemetry::StatsServer;
-using telemetry::Tracer;
 
 // Blocking HTTP/1.0 GET against 127.0.0.1:port; returns the full response
 // (headers + body), or "" on connect failure.
@@ -114,17 +112,35 @@ TEST(StatsServerTest, MetricsJsonRouteServesRegistryJson) {
 }
 
 TEST(StatsServerTest, TracesRouteServesChromeTrace) {
-  Tracer::SetEnabled(true);
-  Tracer::Reset();
-  Tracer::Record(telemetry::TraceEventType::kFaultMajor, 2400, 2400, 0x1);
+  SpanCollector::Options options;
+  options.sample_every = 1;
+  SpanCollector::Global().Configure(options);
+  SpanCollector::Global().Reset();
+  SimClock clock;
+  clock.Charge(CostCategory::kUserWork, 2400);
+  {
+    telemetry::RequestSpan root(clock, telemetry::SpanOp::kFaultMajor, 0x1);
+    ASSERT_TRUE(root.active());
+    telemetry::ChildSpan device(clock, telemetry::SpanPhase::kDevice);
+    clock.Charge(CostCategory::kDeviceIo, 2400);
+  }
   auto server = StartEphemeral();
   ASSERT_NE(server, nullptr);
 
-  const std::string body = Body(HttpGet(server->port(), "/traces"));
+  const std::string response = HttpGet(server->port(), "/traces");
+  EXPECT_NE(response.find("HTTP/1.0 200 OK"), std::string::npos);
+  EXPECT_NE(response.find("Content-Type: application/json"), std::string::npos);
+  const std::string body = Body(response);
   EXPECT_EQ(body.rfind("{\"traceEvents\":[", 0), 0u);
-  EXPECT_NE(body.find("\"name\":\"fault.major\""), std::string::npos);
-  Tracer::Reset();
-  Tracer::SetEnabled(false);
+  // The sampled request's root and child, 2400 cycles = 1 us into the run
+  // at the default 2400 cycles/us.
+  EXPECT_NE(body.find("\"name\":\"fault\",\"cat\":\"fault_major\",\"ph\":\"X\",\"ts\":1.000,"
+                      "\"dur\":1.000"),
+            std::string::npos);
+  EXPECT_NE(body.find("\"name\":\"device\""), std::string::npos);
+
+  SpanCollector::Global().Configure(SpanCollector::Options{});
+  SpanCollector::Global().Reset();
 }
 
 TEST(StatsServerTest, SlowRouteServesSpanTrees) {

@@ -13,15 +13,13 @@
 
 #include "src/telemetry/metrics.h"
 #include "src/telemetry/scoped_timer.h"
-#include "src/telemetry/trace.h"
+#include "src/telemetry/span.h"
 #include "src/util/sim_clock.h"
 
 namespace aquila {
 namespace {
 
 using telemetry::Registry;
-using telemetry::TraceEventType;
-using telemetry::Tracer;
 
 TEST(TelemetryOffTest, CounterAddIsNoOp) {
   telemetry::Counter* counter = Registry().GetCounter("aquila.test.off_counter");
@@ -39,23 +37,30 @@ TEST(TelemetryOffTest, ScopedTimerRecordsNothing) {
   {
     telemetry::ScopedTscTimer tsc_timer(hist);
   }
-  telemetry::RecordSpanSince(hist, TraceEventType::kMsync, clock, 0, 1);
+  telemetry::RecordSpanSince(hist, clock, 0);
   EXPECT_EQ(hist->Count(), 0u);
 }
 
-TEST(TelemetryOffTest, TraceSpanIsEmptyAndRecordsNothing) {
-  Tracer::SetEnabled(true);
-  Tracer::Reset();
-  const uint64_t before = Tracer::TotalRecorded();
+TEST(TelemetryOffTest, SpansAreEmptyAndRecordNothing) {
+  telemetry::SpanCollector& collector = telemetry::SpanCollector::Global();
+  telemetry::SpanCollector::Options options = collector.options();
+  options.sample_every = 1;
+  collector.Configure(options);
+  collector.Reset();
   SimClock clock;
   {
-    telemetry::TraceSpan span(TraceEventType::kShootdown, clock, 7);
+    telemetry::RequestSpan root(clock, telemetry::SpanOp::kFaultMajor);
+    EXPECT_FALSE(root.active());
+    telemetry::ChildSpan child(clock, telemetry::SpanPhase::kDevice, 7);
     clock.Charge(CostCategory::kUserWork, 100);
   }
-  EXPECT_EQ(Tracer::TotalRecorded(), before);
-  Tracer::SetEnabled(false);
-  // The OFF-mode span carries no state.
-  EXPECT_EQ(sizeof(telemetry::TraceSpan), 1u);
+  EXPECT_EQ(collector.finalized(), 0u);
+  EXPECT_TRUE(collector.RetainedTrees().empty());
+  options.sample_every = 0;
+  collector.Configure(options);
+  // The OFF-mode spans carry no state.
+  EXPECT_EQ(sizeof(telemetry::RequestSpan), 1u);
+  EXPECT_EQ(sizeof(telemetry::ChildSpan), 1u);
 }
 
 TEST(TelemetryOffTest, ExpositionStillWorks) {

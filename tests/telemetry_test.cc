@@ -1,6 +1,5 @@
 // Tests for src/telemetry: registry metrics and exposition, callback
-// aggregation + RAII lifetime, scoped timers, the per-thread trace ring
-// (including wraparound), Chrome trace export, and an end-to-end check that
+// aggregation + RAII lifetime, scoped timers, and an end-to-end check that
 // one registry snapshot covers every instrumented subsystem.
 #include <gtest/gtest.h>
 
@@ -19,7 +18,6 @@
 #include "src/storage/pmem_device.h"
 #include "src/telemetry/metrics.h"
 #include "src/telemetry/scoped_timer.h"
-#include "src/telemetry/trace.h"
 #include "src/util/sim_clock.h"
 
 namespace aquila {
@@ -27,8 +25,6 @@ namespace {
 
 using telemetry::MetricKind;
 using telemetry::Registry;
-using telemetry::TraceEventType;
-using telemetry::Tracer;
 
 // --- MetricsRegistry ------------------------------------------------------------
 
@@ -214,121 +210,15 @@ TEST(ScopedTimerTest, TscTimerRecordsSomething) {
   EXPECT_EQ(hist->Count(), 1u);
 }
 
-TEST(ScopedTimerTest, RecordSpanSinceRecordsHistogramAndTrace) {
+TEST(ScopedTimerTest, RecordSpanSinceRecordsHistogram) {
   Histogram* hist = Registry().GetHistogram("aquila.test.span_cycles");
   hist->Reset();
-  Tracer::SetEnabled(true);
-  Tracer::Reset();
   SimClock clock;
   const uint64_t start = clock.Now();
   clock.Charge(CostCategory::kUserWork, 250);
-  telemetry::RecordSpanSince(hist, TraceEventType::kMsync, clock, start, 17);
+  telemetry::RecordSpanSince(hist, clock, start);
   EXPECT_EQ(hist->Count(), 1u);
   EXPECT_EQ(hist->Max(), 250u);
-  std::vector<telemetry::TraceEvent> events = Tracer::CollectAll();
-  ASSERT_EQ(events.size(), 1u);
-  EXPECT_EQ(events[0].type, TraceEventType::kMsync);
-  EXPECT_EQ(events[0].duration_cycles, 250u);
-  EXPECT_EQ(events[0].arg, 17u);
-  Tracer::Reset();
-  Tracer::SetEnabled(false);
-}
-
-// --- Trace ring -----------------------------------------------------------------
-
-TEST(TracerTest, DisabledRecordIsDropped) {
-  Tracer::SetEnabled(false);
-  Tracer::Reset();
-  const uint64_t before = Tracer::TotalRecorded();
-  Tracer::Record(TraceEventType::kVmcall, 1, 2, 3);
-  EXPECT_EQ(Tracer::TotalRecorded(), before);
-  EXPECT_TRUE(Tracer::CollectAll().empty());
-}
-
-TEST(TracerTest, TraceSpanRecordsCompleteEvent) {
-  Tracer::SetEnabled(true);
-  Tracer::Reset();
-  SimClock clock;
-  clock.Charge(CostCategory::kUserWork, 100);
-  {
-    telemetry::TraceSpan span(TraceEventType::kShootdown, clock, 7);
-    clock.Charge(CostCategory::kUserWork, 250);
-  }
-  std::vector<telemetry::TraceEvent> events = Tracer::CollectAll();
-  ASSERT_EQ(events.size(), 1u);
-  EXPECT_EQ(events[0].type, TraceEventType::kShootdown);
-  EXPECT_EQ(events[0].start_cycles, 100u);
-  EXPECT_EQ(events[0].duration_cycles, 250u);
-  EXPECT_EQ(events[0].arg, 7u);
-  Tracer::Reset();
-  Tracer::SetEnabled(false);
-}
-
-TEST(TracerTest, RingWraparoundKeepsNewestEvents) {
-  Tracer::SetEnabled(true);
-  Tracer::Reset();
-  const uint64_t extra = 10;
-  for (uint64_t i = 0; i < Tracer::kRingCapacity + extra; i++) {
-    Tracer::Record(TraceEventType::kVmcall, i, 1, i);
-  }
-  EXPECT_EQ(Tracer::TotalRecorded(), Tracer::kRingCapacity + extra);
-  std::vector<telemetry::TraceEvent> events = Tracer::CollectAll();
-  ASSERT_EQ(events.size(), Tracer::kRingCapacity);
-  // The oldest `extra` events were overwritten; retention is oldest-first.
-  EXPECT_EQ(events.front().arg, extra);
-  EXPECT_EQ(events.back().arg, Tracer::kRingCapacity + extra - 1);
-  Tracer::Reset();
-  Tracer::SetEnabled(false);
-}
-
-// Ring wraparound is silent data loss unless it is surfaced: the registry
-// counter totals the overwritten events and the Chrome dump carries a
-// per-thread metadata record so a viewer knows the window is truncated.
-TEST(TracerTest, WraparoundSurfacesDroppedEvents) {
-  Tracer::SetEnabled(true);
-  Tracer::Reset();
-  const uint64_t baseline = Tracer::DroppedEvents();
-  EXPECT_EQ(baseline, 0u);  // Reset emptied every ring
-  const uint64_t extra = 25;
-  for (uint64_t i = 0; i < Tracer::kRingCapacity + extra; i++) {
-    Tracer::Record(TraceEventType::kVmcall, i, 1, i);
-  }
-  EXPECT_EQ(Tracer::DroppedEvents(), extra);
-  const telemetry::MetricSample* sample =
-      Registry().Snapshot().Find("aquila.trace.dropped_events");
-  ASSERT_NE(sample, nullptr);
-  EXPECT_EQ(sample->kind, MetricKind::kCounter);
-  EXPECT_EQ(sample->value, extra);
-
-  std::string json = Tracer::DumpChromeTrace(/*cycles_per_us=*/2400);
-  EXPECT_NE(json.find("\"name\":\"trace.dropped_events\""), std::string::npos);
-  EXPECT_NE(json.find("\"dropped\":" + std::to_string(extra)), std::string::npos);
-
-  // A ring that did not wrap reports nothing.
-  Tracer::Reset();
-  Tracer::Record(TraceEventType::kVmcall, 1, 1, 1);
-  EXPECT_EQ(Tracer::DroppedEvents(), 0u);
-  EXPECT_EQ(Tracer::DumpChromeTrace(2400).find("trace.dropped_events"), std::string::npos);
-  Tracer::Reset();
-  Tracer::SetEnabled(false);
-}
-
-TEST(TracerTest, DumpChromeTraceIsStructurallyValid) {
-  Tracer::SetEnabled(true);
-  Tracer::Reset();
-  Tracer::Record(TraceEventType::kFaultMajor, 2400, 2400, 0xabc);
-  Tracer::Record(TraceEventType::kDeviceRead, 4800, 1200, 4096);
-  std::string json = Tracer::DumpChromeTrace(/*cycles_per_us=*/2400);
-  EXPECT_EQ(json.rfind("{\"traceEvents\":[", 0), 0u);
-  EXPECT_EQ(json.back(), '}');
-  EXPECT_NE(json.find("\"displayTimeUnit\":\"ms\""), std::string::npos);
-  EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
-  EXPECT_NE(json.find("\"name\":\"fault.major\""), std::string::npos);
-  EXPECT_NE(json.find("\"name\":\"device.read\""), std::string::npos);
-  // 2400 cycles at 2400 cycles/us = 1 microsecond.
-  EXPECT_NE(json.find("\"ts\":1.000"), std::string::npos);
-  Tracer::Reset();
-  Tracer::SetEnabled(false);
 }
 
 // --- End-to-end coverage --------------------------------------------------------

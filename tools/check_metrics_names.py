@@ -54,7 +54,6 @@ REQUIRED_NAMES = frozenset({
     "aquila.tlb.reuse_mismatch",
     "aquila.tlb.shootdown_rounds",
     "aquila.tlb.shootdowns_local",
-    "aquila.trace.dropped_events",
     "aquila.vmx.ipi_sent",
 })
 
