@@ -1,5 +1,7 @@
 #include "src/cache/page_cache.h"
 
+#include <algorithm>
+
 #include "src/util/logging.h"
 #include "src/util/race_injector.h"
 
@@ -135,21 +137,31 @@ size_t PageCache::SelectVictims(size_t max, FrameId* out) {
   // Bound the sweep: with every frame referenced, two full rotations clear
   // all bits and then claim.
   uint64_t limit = total * 2 + max;
-  for (uint64_t step = 0; step < limit && n < max; step++) {
-    uint64_t slot = clock_hand_.fetch_add(1, std::memory_order_relaxed) % total;
-    Frame& f = frames_[slot];
-    FrameState state = f.state.load(std::memory_order_acquire);
-    if (state != FrameState::kResident) {
-      continue;
-    }
-    if (f.referenced.exchange(0, std::memory_order_relaxed) != 0) {
-      continue;  // second chance
-    }
-    AQUILA_RACE_POINT("page_cache.sweep.pre_claim");
-    FrameState expected = FrameState::kResident;
-    if (f.state.compare_exchange_strong(expected, FrameState::kEvicting,
-                                        std::memory_order_acq_rel)) {
-      out[n++] = static_cast<FrameId>(slot);
+  uint64_t step = 0;
+  while (step < limit && n < max) {
+    // One shared fetch_add per chunk of slots, not per slot: concurrent
+    // sweepers would otherwise bounce the hand's cache line on every frame.
+    // A chunk never exceeds the victims still wanted, so every claimed slot
+    // is visited: no call stops inside its chunk and leaves slots behind.
+    uint64_t chunk = std::min<uint64_t>({kSweepChunk, max - n, limit - step});
+    uint64_t base = clock_hand_.fetch_add(chunk, std::memory_order_relaxed);
+    step += chunk;
+    for (uint64_t i = 0; i < chunk; i++) {
+      uint64_t slot = (base + i) % total;
+      Frame& f = frames_[slot];
+      FrameState state = f.state.load(std::memory_order_acquire);
+      if (state != FrameState::kResident) {
+        continue;
+      }
+      if (f.referenced.exchange(0, std::memory_order_relaxed) != 0) {
+        continue;  // second chance
+      }
+      AQUILA_RACE_POINT("page_cache.sweep.pre_claim");
+      FrameState expected = FrameState::kResident;
+      if (f.state.compare_exchange_strong(expected, FrameState::kEvicting,
+                                          std::memory_order_acq_rel)) {
+        out[n++] = static_cast<FrameId>(slot);
+      }
     }
   }
   stats_.evictions.fetch_add(n, std::memory_order_relaxed);

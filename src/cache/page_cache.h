@@ -161,7 +161,9 @@ class PageCache {
   // --- Eviction support -----------------------------------------------------------
   // Clock sweep: claims up to `max` resident frames (state -> kEvicting) and
   // returns them. Frames with the reference bit set get a second chance.
+  // The hand advances up to kSweepChunk slots per atomic step.
   size_t SelectVictims(size_t max, FrameId* out);
+  static constexpr uint64_t kSweepChunk = 64;
 
   // --- Dirty tracking --------------------------------------------------------------
   // Idempotent: the dirty flag's 0 -> 1 edge (atomic exchange) decides which

@@ -56,6 +56,10 @@ Aquila::Aquila(const Options& options)
                [this] { return tlb_.reuse_elided(); });
   metrics_.Add("aquila.tlb.reuse_mismatch", telemetry::MetricKind::kCounter,
                [this] { return tlb_.reuse_mismatch(); });
+  // Process-wide (the clock is per thread, not per runtime): a second live
+  // runtime reports the same count again.
+  metrics_.Add("aquila.clock.preempt_corrections", telemetry::MetricKind::kCounter,
+               [] { return PreemptCorrections(); });
 
   if (options_.huge_pages) {
     // Registered only when the feature is on, keeping off-mode metric dumps

@@ -1,10 +1,8 @@
 #include "src/util/sim_clock.h"
 
+#include <algorithm>
 #include <cstdio>
-
 #include <ctime>
-
-#include "src/util/cpu.h"
 
 namespace aquila {
 
@@ -155,22 +153,82 @@ void SerializedResource::Reset() {
 
 namespace {
 
-// Per-thread CPU time in nanoseconds: unlike rdtsc, it excludes time the
-// thread spends descheduled, so measurements stay meaningful when the
-// simulation runs many worker threads on few host CPUs.
-uint64_t ThreadCpuNs() {
+// A scope whose wall time exceeds this may have been descheduled; it pays
+// one thread-CPU-time read to find out. Fault-path scopes are far shorter
+// (eviction batches and bulk writeback are not); a timeslice is milliseconds.
+constexpr uint64_t kPreemptCheckNs = 20000;
+// Off-CPU time below this is skew between the two clocks (a context switch
+// alone costs more), not descheduling.
+constexpr uint64_t kClockSkewNs = 1000;
+// A checkpoint older than this is refreshed at the next scope end, so the
+// off-CPU time a long scope subtracts is confined to roughly its own span.
+constexpr uint64_t kCheckpointMaxAgeNs = 1000000;
+
+uint64_t ReadNs(clockid_t clock) {
   struct timespec ts;
-  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  clock_gettime(clock, &ts);
   return static_cast<uint64_t>(ts.tv_sec) * 1000000000ull + static_cast<uint64_t>(ts.tv_nsec);
 }
 
+// vDSO read: no syscall, but it also counts time the thread is descheduled.
+uint64_t MonotonicNs() { return ReadNs(CLOCK_MONOTONIC); }
+
+// A real syscall (~10x a vDSO read); excludes descheduled time.
+uint64_t ThreadCpuNs() { return ReadNs(CLOCK_THREAD_CPUTIME_ID); }
+
+// The clock-read overhead an empty scope measures: the median of
+// back-to-back monotonic reads, taken once per process.
+uint64_t EmptyScopeNs() {
+  static const uint64_t empty_ns = [] {
+    std::array<uint64_t, 1023> samples{};
+    for (uint64_t& sample : samples) {
+      uint64_t start = MonotonicNs();
+      sample = MonotonicNs() - start;
+    }
+    std::nth_element(samples.begin(), samples.begin() + samples.size() / 2, samples.end());
+    return samples[samples.size() / 2];
+  }();
+  return empty_ns;
+}
+
+// The last (monotonic, thread CPU) time pair this thread read; their
+// difference since then is the time it spent off-CPU.
+struct CpuCheckpoint {
+  uint64_t mono_ns = 0;
+  uint64_t cpu_ns = 0;
+};
+thread_local CpuCheckpoint t_checkpoint;
+
+std::atomic<uint64_t> g_preempt_corrections{0};
+
 }  // namespace
 
+uint64_t PreemptCorrections() { return g_preempt_corrections.load(std::memory_order_relaxed); }
+
 ScopedMeasure::ScopedMeasure(SimClock& clock, CostCategory category)
-    : clock_(clock), category_(category), start_(ThreadCpuNs()) {}
+    : clock_(clock), category_(category), start_(MonotonicNs()) {
+  CpuCheckpoint& checkpoint = t_checkpoint;
+  if (checkpoint.mono_ns == 0) {
+    checkpoint = {start_, ThreadCpuNs()};  // the thread's first scope
+  }
+}
 
 ScopedMeasure::~ScopedMeasure() {
-  uint64_t elapsed_ns = ThreadCpuNs() - start_;
+  uint64_t end = MonotonicNs();
+  uint64_t elapsed_ns = end - start_;
+  uint64_t empty_ns = EmptyScopeNs();
+  elapsed_ns = elapsed_ns > empty_ns ? elapsed_ns - empty_ns : 0;
+  CpuCheckpoint& checkpoint = t_checkpoint;
+  if (elapsed_ns > kPreemptCheckNs || end - checkpoint.mono_ns > kCheckpointMaxAgeNs) {
+    uint64_t cpu = ThreadCpuNs();
+    int64_t off_cpu_ns = static_cast<int64_t>(end - checkpoint.mono_ns) -
+                         static_cast<int64_t>(cpu - checkpoint.cpu_ns);
+    if (elapsed_ns > kPreemptCheckNs && off_cpu_ns > static_cast<int64_t>(kClockSkewNs)) {
+      elapsed_ns -= std::min(elapsed_ns, static_cast<uint64_t>(off_cpu_ns));
+      g_preempt_corrections.fetch_add(1, std::memory_order_relaxed);
+    }
+    checkpoint = {end, cpu};
+  }
   // ns -> cycles at the modeled 2.4 GHz.
   clock_.Charge(category_, elapsed_ns * 24 / 10);
 }

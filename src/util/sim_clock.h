@@ -159,10 +159,20 @@ class SerializedResource {
 };
 
 // RAII cycle measurement: charges the real duration of a scope to a category
-// on a SimClock. The duration is the calling thread's CPU time, read with
-// clock_gettime(CLOCK_THREAD_CPUTIME_ID) at both ends and converted to cycles
-// at the modeled 2.4 cycles/ns. Used for software paths we execute for real
-// (hash lookups, tree ops, memcpy).
+// on a SimClock, converted to cycles at the modeled 2.4 cycles/ns. Used for
+// software paths we execute for real (hash lookups, tree ops, memcpy).
+//
+// The duration is read with vDSO clock_gettime(CLOCK_MONOTONIC) at both ends
+// (no syscall), minus the empty-scope cost: the median of back-to-back reads,
+// calibrated once per process. Monotonic time also runs while the thread is
+// descheduled, so each thread keeps a checkpoint of (monotonic time, thread
+// CPU time). A scope longer than 20 us reads CLOCK_THREAD_CPUTIME_ID once,
+// subtracts the thread's off-CPU time since the checkpoint (capped at the
+// scope's own duration), moves the checkpoint and counts the correction in
+// PreemptCorrections(). Any scope end refreshes a checkpoint older than 1 ms,
+// so the subtracted time is off-CPU time of about this scope's span. There is
+// no length cap: only off-CPU time is removed, so long real work (an eviction
+// batch) charges in full.
 class ScopedMeasure {
  public:
   ScopedMeasure(SimClock& clock, CostCategory category);
@@ -174,8 +184,11 @@ class ScopedMeasure {
  private:
   SimClock& clock_;
   CostCategory category_;
-  uint64_t start_;
+  uint64_t start_;  // CLOCK_MONOTONIC ns
 };
+
+// Scopes (process-wide) whose charge had descheduled time subtracted.
+uint64_t PreemptCorrections();
 
 }  // namespace aquila
 

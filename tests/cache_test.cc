@@ -425,6 +425,108 @@ TEST_F(PageCacheTest, ReferencedFramesGetSecondChance) {
   EXPECT_EQ(victims[0], cold);
 }
 
+// Allocates every frame of the 1024-frame cache and leaves them non-resident
+// (kFilling), so a test can place resident frames at chosen slots.
+std::vector<FrameId> AllocAll(PageCache& cache, Vcpu& vcpu) {
+  std::vector<FrameId> frames;
+  FrameId f;
+  while ((f = cache.AllocFrame(vcpu, 0)) != kInvalidFrame) {
+    frames.push_back(f);
+  }
+  return frames;
+}
+
+TEST_F(PageCacheTest, SecondChanceSpansSweepChunks) {
+  ASSERT_EQ(AllocAll(*cache_, vcpu_).size(), 1024u);
+  // The hot frame is in the hand's first chunk, the cold one in its second.
+  const FrameId hot = 10;
+  const FrameId cold = PageCache::kSweepChunk + 10;
+  cache_->frame(hot).referenced.store(1);
+  cache_->frame(hot).state.store(FrameState::kResident);
+  cache_->frame(cold).referenced.store(0);
+  cache_->frame(cold).state.store(FrameState::kResident);
+  // A full-chunk request: the hand passes the hot frame in one claimed chunk
+  // and finds the cold one in the next; the hot frame, its bit now spent,
+  // falls only on the second rotation.
+  std::vector<FrameId> victims(PageCache::kSweepChunk);
+  ASSERT_EQ(cache_->SelectVictims(victims.size(), victims.data()), 2u);
+  EXPECT_EQ(victims[0], cold);
+  EXPECT_EQ(victims[1], hot);
+}
+
+// Single-victim calls must not leave the rest of a chunk behind: a frame the
+// first rotation aged is claimed on the next pass, even though every other
+// frame is re-referenced between calls.
+TEST_F(PageCacheTest, SingleVictimCallsReachTheColdFrameWithinTwoRotations) {
+  std::vector<FrameId> frames = AllocAll(*cache_, vcpu_);
+  ASSERT_EQ(frames.size(), 1024u);
+  for (FrameId f : frames) {
+    cache_->frame(f).state.store(FrameState::kResident);
+  }
+  const FrameId cold = 5 * PageCache::kSweepChunk + 37;
+  std::vector<FrameId> victims(1);
+  bool claimed_cold = false;
+  // Rotation one clears every bit and claims a frame just past its start;
+  // the cold frame is the only one not re-referenced afterwards.
+  for (int call = 0; call < 2 && !claimed_cold; call++) {
+    ASSERT_EQ(cache_->SelectVictims(1, victims.data()), 1u);
+    claimed_cold = victims[0] == cold;
+    cache_->frame(victims[0]).state.store(FrameState::kResident);
+    for (FrameId f : frames) {
+      if (f != cold) {
+        cache_->frame(f).referenced.store(1);
+      }
+    }
+  }
+  EXPECT_TRUE(claimed_cold);
+  // Fresh single-victim calls over all-cold frames claim consecutive slots.
+  for (FrameId f : frames) {
+    cache_->frame(f).referenced.store(0);
+    cache_->frame(f).state.store(FrameState::kResident);
+  }
+  ASSERT_EQ(cache_->SelectVictims(1, victims.data()), 1u);
+  FrameId previous = victims[0];
+  for (int call = 0; call < 3 * static_cast<int>(PageCache::kSweepChunk); call++) {
+    ASSERT_EQ(cache_->SelectVictims(1, victims.data()), 1u);
+    EXPECT_EQ(victims[0], (previous + 1) % frames.size());
+    previous = victims[0];
+  }
+}
+
+TEST_F(PageCacheTest, ConcurrentSweepersClaimDisjointFrames) {
+  std::vector<FrameId> frames = AllocAll(*cache_, vcpu_);
+  ASSERT_EQ(frames.size(), 1024u);
+  for (FrameId f : frames) {
+    cache_->frame(f).referenced.store(0);
+    cache_->frame(f).state.store(FrameState::kResident);
+  }
+  constexpr int kSweepers = 4;
+  std::vector<std::vector<FrameId>> claimed(kSweepers);
+  std::vector<std::thread> sweepers;
+  for (int t = 0; t < kSweepers; t++) {
+    sweepers.emplace_back([this, &claimed, t] {
+      std::vector<FrameId> victims(96);  // not a multiple of the chunk
+      size_t n;
+      while ((n = cache_->SelectVictims(victims.size(), victims.data())) > 0) {
+        claimed[t].insert(claimed[t].end(), victims.begin(), victims.begin() + n);
+      }
+    });
+  }
+  for (std::thread& t : sweepers) {
+    t.join();
+  }
+  std::vector<FrameId> all;
+  for (const std::vector<FrameId>& c : claimed) {
+    all.insert(all.end(), c.begin(), c.end());
+  }
+  std::sort(all.begin(), all.end());
+  EXPECT_EQ(std::adjacent_find(all.begin(), all.end()), all.end()) << "a frame claimed twice";
+  EXPECT_EQ(all.size(), frames.size());  // nothing is released, so all get claimed
+  for (FrameId f : frames) {
+    EXPECT_EQ(cache_->frame(f).state.load(), FrameState::kEvicting);
+  }
+}
+
 TEST_F(PageCacheTest, GrowAddsCapacityViaHypervisor) {
   uint64_t granted_before = hv_->granted_bytes(guest_);
   ASSERT_TRUE(cache_->Grow(vcpu_, 1024).ok());

@@ -288,6 +288,7 @@ TEST(TelemetryCoverageTest, OneSnapshotCoversAllSubsystems) {
            "aquila_cache_lookups",         // page cache
            "aquila_freelist_free_frames",  // freelist gauge
            "aquila_tlb_hits",              // TLB
+           "aquila_clock_preempt_corrections",  // scope clock
            "aquila_vmx_ring0_exceptions",  // vCPU trap accounting
            "aquila_storage_reads",         // block devices
            "aquila_kvs_puts",              // LSM KV store

@@ -2,8 +2,10 @@
 // serialized resources, bit helpers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <ctime>
 #include <thread>
 #include <vector>
 
@@ -231,6 +233,123 @@ TEST(SimClockTest, AdvanceToChargesIdle) {
   EXPECT_EQ(clock.Breakdown()[CostCategory::kIdle], 200u);
   clock.AdvanceTo(50);  // in the past: no-op
   EXPECT_EQ(clock.Now(), 300u);
+}
+
+// --- ScopedMeasure -------------------------------------------------------------
+
+uint64_t ThreadCpuNs() {
+  struct timespec ts;
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<uint64_t>(ts.tv_sec) * 1000000000ull + static_cast<uint64_t>(ts.tv_nsec);
+}
+
+// Burns `ns` of this thread's CPU time (not wall time: a preempted spin still
+// does the full amount of work).
+void SpinCpuNs(uint64_t ns) {
+  uint64_t start = ThreadCpuNs();
+  while (ThreadCpuNs() - start < ns) {
+  }
+}
+
+constexpr uint64_t kCyclesPerUs = 2400;  // ScopedMeasure's 2.4 cycles/ns
+
+TEST(ScopedMeasureTest, EmptyScopeChargesAtMost100Cycles) {
+  std::vector<uint64_t> charges(10000);
+  SimClock clock;
+  for (uint64_t& charge : charges) {
+    uint64_t before = clock.Now();
+    { ScopedMeasure measure(clock, CostCategory::kCacheMgmt); }
+    charge = clock.Now() - before;
+  }
+  std::nth_element(charges.begin(), charges.begin() + charges.size() / 2, charges.end());
+  EXPECT_LE(charges[charges.size() / 2], 100u);
+}
+
+// A scope past the preemption-check threshold that stayed on-CPU charges its
+// full duration: the correction removes off-CPU time, never real work.
+// Retried because the spin itself may be descheduled on a loaded host.
+TEST(ScopedMeasureTest, LongOnCpuScopeIsChargedInFull) {
+  constexpr uint64_t kSpinUs = 200;
+  uint64_t best = 0;
+  for (int attempt = 0; attempt < 10 && best < kSpinUs * kCyclesPerUs * 9 / 10; attempt++) {
+    SimClock clock;
+    {
+      ScopedMeasure measure(clock, CostCategory::kCacheMgmt);
+      SpinCpuNs(kSpinUs * 1000);
+    }
+    best = std::max(best, clock.Breakdown()[CostCategory::kCacheMgmt]);
+  }
+  EXPECT_GE(best, kSpinUs * kCyclesPerUs * 9 / 10);
+}
+
+// A sleeping scope charges the CPU time its thread used, not the 2 ms it was
+// away. The kernel's own sleep/wake path is that CPU time: 7-34 us of it per
+// 2 ms nanosleep on a 4-vCPU x86-64 VM, so the bound is the thread's measured
+// CPU time across the scope, not a fixed figure.
+TEST(ScopedMeasureTest, DescheduledTimeIsNotCharged) {
+  constexpr uint64_t kSleepUs = 2000;
+  uint64_t corrections = PreemptCorrections();
+  SimClock clock;
+  uint64_t cpu_start = ThreadCpuNs();
+  {
+    ScopedMeasure measure(clock, CostCategory::kCacheMgmt);
+    struct timespec sleep = {0, kSleepUs * 1000};
+    nanosleep(&sleep, nullptr);
+  }
+  uint64_t cpu_ns = ThreadCpuNs() - cpu_start;
+  uint64_t charged = clock.Breakdown()[CostCategory::kCacheMgmt];
+  EXPECT_LE(charged, (cpu_ns + 1000) * kCyclesPerUs / 1000);  // 1 us of clock skew
+  EXPECT_LT(charged, kSleepUs * kCyclesPerUs / 10);
+  EXPECT_GT(PreemptCorrections(), corrections);
+}
+
+// Time a thread spends blocked between scopes is not the next long scope's
+// to subtract, once any scope has ended in between (a checkpoint older than
+// 1 ms is refreshed there).
+TEST(ScopedMeasureTest, OffCpuTimeBetweenScopesIsNotSubtracted) {
+  constexpr uint64_t kSpinUs = 200;
+  uint64_t best = 0;
+  for (int attempt = 0; attempt < 10 && best < kSpinUs * kCyclesPerUs * 9 / 10; attempt++) {
+    SimClock clock;
+    struct timespec sleep = {0, 2000000};  // 2 ms off-CPU, outside any scope
+    nanosleep(&sleep, nullptr);
+    { ScopedMeasure measure(clock, CostCategory::kPageTable); }
+    {
+      ScopedMeasure measure(clock, CostCategory::kCacheMgmt);
+      SpinCpuNs(kSpinUs * 1000);
+    }
+    best = std::max(best, clock.Breakdown()[CostCategory::kCacheMgmt]);
+  }
+  EXPECT_GE(best, kSpinUs * kCyclesPerUs * 9 / 10);
+}
+
+TEST(ScopedMeasureTest, NestedScopesChargeTheirOwnIntervals) {
+  constexpr uint64_t kOuterUs = 100;  // outside the inner scope
+  constexpr uint64_t kInnerUs = 30;
+  uint64_t outer = 0;
+  uint64_t inner = 0;
+  for (int attempt = 0; attempt < 10; attempt++) {
+    SimClock clock;
+    {
+      ScopedMeasure outer_measure(clock, CostCategory::kPageTable);
+      SpinCpuNs(kOuterUs / 2 * 1000);
+      {
+        ScopedMeasure inner_measure(clock, CostCategory::kCacheMgmt);
+        SpinCpuNs(kInnerUs * 1000);
+      }
+      SpinCpuNs(kOuterUs / 2 * 1000);
+    }
+    outer = clock.Breakdown()[CostCategory::kPageTable];
+    inner = clock.Breakdown()[CostCategory::kCacheMgmt];
+    if (inner >= kInnerUs * kCyclesPerUs * 9 / 10 &&
+        outer >= (kOuterUs + kInnerUs) * kCyclesPerUs * 9 / 10) {
+      break;
+    }
+  }
+  // The outer interval contains the inner one; each scope charges its own.
+  EXPECT_GE(inner, kInnerUs * kCyclesPerUs * 9 / 10);
+  EXPECT_GE(outer, (kOuterUs + kInnerUs) * kCyclesPerUs * 9 / 10);
+  EXPECT_LT(inner, outer);
 }
 
 TEST(SerializedResourceTest, SequentialService) {

@@ -31,6 +31,7 @@ VALID_RE = re.compile(r"^aquila(\.[a-z0-9_]+){2,}$")
 # Metric names external consumers rely on (EXPERIMENTS.md trajectories,
 # BENCH_*.json emitters, DESIGN.md). Keep sorted.
 REQUIRED_NAMES = frozenset({
+    "aquila.clock.preempt_corrections",
     "aquila.device.health_state",
     "aquila.device.hedges",
     "aquila.device.timeouts",
