@@ -29,6 +29,14 @@ struct RunResult {
   // aggregate avg-us column drowns under device-read cost; this is the column
   // the broadcast-vs-mask+gen comparison in EXPERIMENTS.md is measured on.
   double shootdown_cyc_per_op = 0;
+  // Aquila only: victims claimed per clock sweep (PageCache::Stats
+  // evictions / clock_sweeps) and pages freed per eviction batch
+  // (FaultStats evicted_pages / evict_batches). An eviction batch asks
+  // SelectVictims for eviction_batch victims, so a low first ratio means
+  // sweeps that end short; the gap between the two is claimed victims the
+  // batch handed back (a fault in flight held the page's entry lock).
+  double victims_per_sweep = 0;
+  double freed_per_batch = 0;
 };
 
 // `maps[t]` is the mapping thread t reads from (all equal for shared mode).
@@ -96,9 +104,9 @@ void RunCase(const char* title, uint64_t shared_data_bytes, uint64_t private_dat
   // (the paper's dataset is far larger than any run's access count).
   uint64_t ops = Scaled(1800);
 
-  std::printf("%-8s %-8s | %10s %9s %9s %9s | %10s %9s %9s %9s %10s | %7s\n", "layout",
+  std::printf("%-8s %-8s | %10s %9s %9s %9s | %10s %9s %9s %9s %10s %9s %9s | %7s\n", "layout",
               "threads", "mmap-Mops", "avg-us", "p99", "p99.9", "aqla-Mops", "avg-us", "p99",
-              "p99.9", "sd-cyc/op", "speedup");
+              "p99.9", "sd-cyc/op", "vict/swp", "freed/bt", "speedup");
   for (const char* layout : {"shared", "private"}) {
     bool shared = std::string(layout) == "shared";
     for (int threads : thread_counts) {
@@ -155,6 +163,16 @@ void RunCase(const char* title, uint64_t shared_data_bytes, uint64_t private_dat
           CoreRegistry::SetCurrentCoreForTest(t);
           runtime->EnterThread();
         });
+        const PageCache::Stats& cache_stats = runtime->cache().stats();
+        if (uint64_t sweeps = cache_stats.clock_sweeps.load(); sweeps > 0) {
+          aquila_result.victims_per_sweep =
+              static_cast<double>(cache_stats.evictions.load()) / static_cast<double>(sweeps);
+        }
+        const FaultStats& fault_stats = runtime->fault_stats();
+        if (uint64_t batches = fault_stats.evict_batches.load(); batches > 0) {
+          aquila_result.freed_per_batch =
+              static_cast<double>(fault_stats.evicted_pages.load()) / static_cast<double>(batches);
+        }
         for (MemoryMap* map : maps) {
           if (map != nullptr) {
             (void)runtime->Unmap(map);
@@ -167,10 +185,12 @@ void RunCase(const char* title, uint64_t shared_data_bytes, uint64_t private_dat
         }
       }
       std::printf(
-          "%-8s %-8d | %10.3f %9.2f %9.2f %9.2f | %10.3f %9.2f %9.2f %9.2f %10.2f | %6.2fx\n",
+          "%-8s %-8d | %10.3f %9.2f %9.2f %9.2f | %10.3f %9.2f %9.2f %9.2f %10.2f %9.1f %9.1f | "
+          "%6.2fx\n",
           layout, threads, linux_result.mops, linux_result.avg_us, linux_result.p99_us,
           linux_result.p999_us, aquila_result.mops, aquila_result.avg_us, aquila_result.p99_us,
           aquila_result.p999_us, aquila_result.shootdown_cyc_per_op,
+          aquila_result.victims_per_sweep, aquila_result.freed_per_batch,
           aquila_result.mops / linux_result.mops);
     }
   }

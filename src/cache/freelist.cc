@@ -39,18 +39,6 @@ FrameId FrameStack::Pop() {
   }
 }
 
-uint32_t FrameStack::PopBatch(FrameId* out, uint32_t max) {
-  uint32_t n = 0;
-  while (n < max) {
-    FrameId frame = Pop();
-    if (frame == kInvalidFrame) {
-      break;
-    }
-    out[n++] = frame;
-  }
-  return n;
-}
-
 TwoLevelFreelist::TwoLevelFreelist(uint32_t max_frames, const Options& options)
     : options_(options),
       capacity_(max_frames),
@@ -286,22 +274,30 @@ void TwoLevelFreelist::MaybeOverflow(int core) {
   if (core_queues_[core].ApproxSize() <= options_.core_queue_threshold) {
     return;
   }
-  // Move a batch to the local NUMA queue: pop into a scratch chain, then
-  // publish with one CAS.
-  std::vector<FrameId> batch(options_.move_batch);
-  uint32_t n = core_queues_[core].PopBatch(batch.data(), options_.move_batch);
-  if (n == 0) {
+  // Move a batch to the local NUMA queue: link the frames through next_ as
+  // they are popped (each is owned once its Pop succeeds), then publish the
+  // chain with one CAS.
+  FrameStack& queue = core_queues_[core];
+  const FrameId first = queue.Pop();
+  if (first == kInvalidFrame) {
     return;
   }
-  // Between the pop above and the publish below the batch is on no queue but
+  FrameId last = first;
+  uint32_t n = 1;
+  for (; n < options_.move_batch; n++) {
+    FrameId frame = queue.Pop();
+    if (frame == kInvalidFrame) {
+      break;
+    }
+    next_[last].store(frame, std::memory_order_relaxed);
+    last = frame;
+  }
+  // Between the pops above and the publish below the batch is on no queue but
   // still counted free. Stretch the window so the stress harness can check
   // that ApproxFree never exceeds capacity across it.
   AQUILA_RACE_POINT("freelist.migrate.pre_publish");
-  for (uint32_t i = 0; i + 1 < n; i++) {
-    next_[batch[i]].store(batch[i + 1], std::memory_order_relaxed);
-  }
   int node = NumaTopology::NodeOfCore(core) % static_cast<int>(numa_queues_.size());
-  numa_queues_[node].PushChain(batch[0], batch[n - 1], n);
+  numa_queues_[node].PushChain(first, last, n);
   stats_.batch_moves.fetch_add(1, std::memory_order_relaxed);
 }
 

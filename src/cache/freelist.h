@@ -22,6 +22,7 @@
 
 #include "src/util/cpu.h"
 #include "src/util/logging.h"
+#include "src/util/sharded_counter.h"
 
 namespace aquila {
 
@@ -69,9 +70,6 @@ class FrameStack {
   // Pops one frame; kInvalidFrame when empty.
   FrameId Pop();
 
-  // Pops up to `max` frames into `out`; returns the number popped.
-  uint32_t PopBatch(FrameId* out, uint32_t max);
-
   uint32_t ApproxSize() const { return size_.load(std::memory_order_relaxed); }
 
  private:
@@ -112,14 +110,14 @@ class TwoLevelFreelist {
   };
 
   struct Stats {
-    std::atomic<uint64_t> core_hits{0};
-    std::atomic<uint64_t> numa_hits{0};
-    std::atomic<uint64_t> remote_hits{0};
-    std::atomic<uint64_t> batch_moves{0};
-    std::atomic<uint64_t> run_allocs{0};    // intact runs handed out
-    std::atomic<uint64_t> run_frees{0};     // intact runs returned
-    std::atomic<uint64_t> run_steals{0};    // AllocRun served from a remote node
-    std::atomic<uint64_t> runs_broken{0};   // runs split into singles under 4K pressure
+    ShardedCounter core_hits;
+    ShardedCounter numa_hits;
+    ShardedCounter remote_hits;
+    ShardedCounter batch_moves;
+    ShardedCounter run_allocs;   // intact runs handed out
+    ShardedCounter run_frees;    // intact runs returned
+    ShardedCounter run_steals;   // AllocRun served from a remote node
+    ShardedCounter runs_broken;  // runs split into singles under 4K pressure
   };
 
   // `max_frames` is the hard capacity: the largest frame id the cache can

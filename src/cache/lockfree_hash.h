@@ -40,6 +40,7 @@
 #include "src/util/bitops.h"
 #include "src/util/cpu.h"
 #include "src/util/logging.h"
+#include "src/util/sharded_counter.h"
 
 namespace aquila {
 
@@ -166,7 +167,7 @@ class LockFreeHash {
     return false;
   }
 
-  uint64_t size() const { return size_.load(std::memory_order_relaxed); }
+  uint64_t size() const { return size_.load(); }
   uint64_t capacity() const { return capacity_; }
 
   // Probe-length accounting for the insert path (the only non-wait-free op:
@@ -180,8 +181,8 @@ class LockFreeHash {
   };
   ProbeStats probe_stats() const {
     ProbeStats s;
-    s.insert_calls = insert_calls_.load(std::memory_order_relaxed);
-    s.insert_probes = insert_probes_.load(std::memory_order_relaxed);
+    s.insert_calls = insert_calls_.load();
+    s.insert_probes = insert_probes_.load();
     return s;
   }
 
@@ -199,9 +200,9 @@ class LockFreeHash {
   uint64_t capacity_;                // guarded-by: immutable after construction
   uint64_t mask_;                    // guarded-by: immutable after construction
   std::unique_ptr<Slot[]> slots_;    // guarded-by: immutable after construction
-  std::atomic<uint64_t> size_{0};
-  std::atomic<uint64_t> insert_calls_{0};
-  std::atomic<uint64_t> insert_probes_{0};
+  ShardedCounter size_;
+  ShardedCounter insert_calls_;
+  ShardedCounter insert_probes_;
 };
 
 }  // namespace aquila

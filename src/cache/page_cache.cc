@@ -23,6 +23,10 @@ PageCache::PageCache(Hypervisor* hypervisor, int guest, Vcpu& vcpu, const Option
   metrics_.AddCounter("aquila.cache.evictions", stats_.evictions);
   metrics_.AddCounter("aquila.cache.clock_sweeps", stats_.clock_sweeps);
   metrics_.AddGauge("aquila.cache.capacity_pages", [this] { return capacity_pages(); });
+  metrics_.Add("aquila.cache.hash_inserts", telemetry::MetricKind::kCounter,
+               [this] { return hash_.probe_stats().insert_calls; });
+  metrics_.Add("aquila.cache.hash_insert_probes", telemetry::MetricKind::kCounter,
+               [this] { return hash_.probe_stats().insert_probes; });
   metrics_.AddCounter("aquila.freelist.core_hits", freelist_.stats().core_hits);
   metrics_.AddCounter("aquila.freelist.numa_hits", freelist_.stats().numa_hits);
   metrics_.AddCounter("aquila.freelist.remote_hits", freelist_.stats().remote_hits);

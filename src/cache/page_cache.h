@@ -29,6 +29,7 @@
 #include "src/telemetry/metrics.h"
 #include "src/util/bitops.h"
 #include "src/util/race_injector.h"
+#include "src/util/sharded_counter.h"
 #include "src/vmx/hypervisor.h"
 
 namespace aquila {
@@ -101,10 +102,10 @@ class PageCache {
   };
 
   struct Stats {
-    std::atomic<uint64_t> lookups{0};
-    std::atomic<uint64_t> lookup_hits{0};
-    std::atomic<uint64_t> evictions{0};
-    std::atomic<uint64_t> clock_sweeps{0};
+    ShardedCounter lookups;
+    ShardedCounter lookup_hits;
+    ShardedCounter evictions;
+    ShardedCounter clock_sweeps;
   };
 
   // Grants the initial capacity from the hypervisor (one vmcall), charged to
@@ -210,7 +211,9 @@ class PageCache {
   LockFreeHash hash_;
   TwoLevelFreelist freelist_;
   DirtyTreeSet dirty_;
-  std::atomic<uint64_t> clock_hand_{0};
+  // Own line: every sweeper's claim RMWs it, and nothing read-mostly may
+  // share that line.
+  alignas(kCacheLineSize) std::atomic<uint64_t> clock_hand_{0};
   Stats stats_;
   SpinLock grow_lock_;
   std::vector<std::unique_ptr<GpaRange>> ranges_;

@@ -25,6 +25,7 @@
 #include "src/mem/page_table.h"
 #include "src/mem/tlb.h"
 #include "src/telemetry/metrics.h"
+#include "src/util/sharded_counter.h"
 #include "src/util/spinlock.h"
 #include "src/vma/vma_tree.h"
 #include "src/vmx/hypervisor.h"
@@ -67,26 +68,29 @@ inline PageShootdown CaptureShootdownPage(const Frame& frame, uint64_t vpn) {
                        frame.tlb_epoch.load(std::memory_order_relaxed)};
 }
 
-// Transparent 2 MB huge-page counters (DESIGN.md §14). All-atomic.
+// Transparent 2 MB huge-page counters (DESIGN.md §14).
 struct HugeStats {
-  std::atomic<uint64_t> promotions{0};          // spans switched to a 2 MB leaf
-  std::atomic<uint64_t> demotions{0};           // spans split back to 4K
-  std::atomic<uint64_t> fault_around_mapped{0}; // neighbors mapped by fault-around
-  std::atomic<uint64_t> runs_carved{0};         // aligned runs consumed by promotion
-  std::atomic<uint64_t> promote_aborts{0};      // promotions unwound mid-protocol
+  ShardedCounter promotions;           // spans switched to a 2 MB leaf
+  ShardedCounter demotions;            // spans split back to 4K
+  ShardedCounter fault_around_mapped;  // neighbors mapped by fault-around
+  ShardedCounter runs_carved;          // aligned runs consumed by promotion
+  ShardedCounter promote_aborts;       // promotions unwound mid-protocol
 };
 
+// Fault-path statistics. Like every Stats struct on the fault, eviction and
+// device paths, each field is a ShardedCounter (DESIGN.md §8): a read is a
+// sum of per-core shards, exact only at quiesce.
 struct FaultStats {
-  std::atomic<uint64_t> major_faults{0};   // page read from the device
-  std::atomic<uint64_t> minor_faults{0};   // page was in cache, mapping installed
-  std::atomic<uint64_t> write_upgrades{0}; // write fault on a read-only mapping
-  std::atomic<uint64_t> evict_batches{0};
-  std::atomic<uint64_t> evicted_pages{0};
-  std::atomic<uint64_t> writeback_pages{0};
-  std::atomic<uint64_t> readahead_pages{0};
+  ShardedCounter major_faults;    // page read from the device
+  ShardedCounter minor_faults;    // page was in cache, mapping installed
+  ShardedCounter write_upgrades;  // write fault on a read-only mapping
+  ShardedCounter evict_batches;
+  ShardedCounter evicted_pages;
+  ShardedCounter writeback_pages;
+  ShardedCounter readahead_pages;
   // Writeback batches that failed after the device's retry budget. Feeds
   // the per-mapping degradation counter (Options::writeback_failure_limit).
-  std::atomic<uint64_t> writeback_errors{0};
+  ShardedCounter writeback_errors;
 };
 
 class Aquila : public MmioEngine {

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "src/util/bitops.h"
+#include "src/util/sharded_counter.h"
 #include "src/util/spinlock.h"
 
 namespace aquila {
@@ -97,7 +98,7 @@ class PageTable {
   // Clears the PTE and returns its previous value.
   uint64_t Remove(uint64_t vaddr);
 
-  uint64_t present_count() const { return present_.load(std::memory_order_relaxed); }
+  uint64_t present_count() const { return present_.load(); }
 
  private:
   static constexpr int kLevels = 4;
@@ -113,7 +114,7 @@ class PageTable {
   static void FreeRecursive(Node* node, int level);
 
   Node* root_;
-  std::atomic<uint64_t> present_{0};
+  ShardedCounter present_;
   // Child tables displaced by InstallHuge. They hold no present PTEs, but a
   // concurrent WalkExisting may still be dereferencing them, so (like every
   // interior node) they live until the table is destroyed.

@@ -39,6 +39,7 @@
 #include <vector>
 
 #include "src/util/cpu.h"
+#include "src/util/sharded_counter.h"
 #include "src/util/sim_clock.h"
 #include "src/util/spinlock.h"
 #include "src/vmx/ipi.h"
@@ -137,26 +138,22 @@ class TlbSet {
     return flush_epochs_[core].flushed.load(std::memory_order_relaxed);
   }
 
-  uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
-  uint64_t misses() const { return misses_.load(std::memory_order_relaxed); }
-  uint64_t shootdowns() const { return shootdowns_.load(std::memory_order_relaxed); }
+  uint64_t hits() const { return hits_.load(); }
+  uint64_t misses() const { return misses_.load(); }
+  uint64_t shootdowns() const { return shootdowns_.load(); }
   // Fan-out accounting: IPIs actually sent by shootdowns, remote cores
   // skipped (mask or generation), and shootdowns that stayed fully local.
-  uint64_t ipis_sent() const { return ipis_sent_.load(std::memory_order_relaxed); }
-  uint64_t ipis_elided() const { return ipis_elided_.load(std::memory_order_relaxed); }
-  uint64_t shootdowns_local() const {
-    return shootdowns_local_.load(std::memory_order_relaxed);
-  }
+  uint64_t ipis_sent() const { return ipis_sent_.load(); }
+  uint64_t ipis_elided() const { return ipis_elided_.load(); }
+  uint64_t shootdowns_local() const { return shootdowns_local_.load(); }
   // kReuseElide accounting: shootdowns skipped outright because the freed
   // frame returned to its previous (region, vpn) owner, and deferred
   // shootdowns forced to execute because the frame (or vpn) was handed to a
   // different owner first.
-  uint64_t reuse_elided() const { return reuse_elided_.load(std::memory_order_relaxed); }
-  uint64_t reuse_mismatch() const {
-    return reuse_mismatch_.load(std::memory_order_relaxed);
-  }
-  void NoteReuseElided() { reuse_elided_.fetch_add(1, std::memory_order_relaxed); }
-  void NoteReuseMismatch() { reuse_mismatch_.fetch_add(1, std::memory_order_relaxed); }
+  uint64_t reuse_elided() const { return reuse_elided_.load(); }
+  uint64_t reuse_mismatch() const { return reuse_mismatch_.load(); }
+  void NoteReuseElided() { reuse_elided_.fetch_add(1); }
+  void NoteReuseMismatch() { reuse_mismatch_.fetch_add(1); }
 
   // --- Deferred shootdowns (ShootdownMaskMode::kReuseElide) ---------------
   // The table is keyed by vpn; because VaAllocator never recycles virtual
@@ -249,15 +246,17 @@ class TlbSet {
   std::array<DeferredShard, kDeferredShards> deferred_{};
   std::array<DeferredDebt, CoreRegistry::kMaxCores> deferred_debt_{};
   std::atomic<uint64_t> deferred_pending_{0};
-  std::atomic<uint64_t> epoch_{0};
-  mutable std::atomic<uint64_t> hits_{0};
-  mutable std::atomic<uint64_t> misses_{0};
-  std::atomic<uint64_t> shootdowns_{0};
-  std::atomic<uint64_t> ipis_sent_{0};
-  std::atomic<uint64_t> ipis_elided_{0};
-  std::atomic<uint64_t> shootdowns_local_{0};
-  std::atomic<uint64_t> reuse_elided_{0};
-  std::atomic<uint64_t> reuse_mismatch_{0};
+  // Read by every Insert, bumped by every flush: its own line, apart from
+  // deferred_pending_'s writers.
+  alignas(kCacheLineSize) std::atomic<uint64_t> epoch_{0};
+  mutable ShardedCounter hits_;
+  mutable ShardedCounter misses_;
+  ShardedCounter shootdowns_;
+  ShardedCounter ipis_sent_;
+  ShardedCounter ipis_elided_;
+  ShardedCounter shootdowns_local_;
+  ShardedCounter reuse_elided_;
+  ShardedCounter reuse_mismatch_;
 };
 
 }  // namespace aquila

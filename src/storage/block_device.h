@@ -31,22 +31,23 @@
 
 #include "src/storage/device_health.h"
 #include "src/telemetry/metrics.h"
+#include "src/util/sharded_counter.h"
 #include "src/util/status.h"
 #include "src/vmx/vcpu.h"
 
 namespace aquila {
 
 struct DeviceStats {
-  std::atomic<uint64_t> reads{0};
-  std::atomic<uint64_t> writes{0};
-  std::atomic<uint64_t> bytes_read{0};
-  std::atomic<uint64_t> bytes_written{0};
+  ShardedCounter reads;
+  ShardedCounter writes;
+  ShardedCounter bytes_read;
+  ShardedCounter bytes_written;
   // Failure handling (see RetryPolicy): attempts that returned kIoError,
   // re-attempts issued after backoff, and requests that exhausted the
   // attempt budget.
-  std::atomic<uint64_t> io_errors{0};
-  std::atomic<uint64_t> io_retries{0};
-  std::atomic<uint64_t> io_gave_up{0};
+  ShardedCounter io_errors;
+  ShardedCounter io_retries;
+  ShardedCounter io_gave_up;
 };
 
 // Bounded exponential backoff for transient device errors. Only

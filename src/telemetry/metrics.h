@@ -38,6 +38,7 @@
 #include "src/telemetry/telemetry_config.h"
 #include "src/util/cpu.h"
 #include "src/util/histogram.h"
+#include "src/util/sharded_counter.h"
 
 namespace aquila {
 namespace telemetry {
@@ -157,6 +158,9 @@ class CallbackGroup {
   void AddCounter(std::string_view name, const std::atomic<uint64_t>& value) {
     Add(name, MetricKind::kCounter,
         [&value] { return value.load(std::memory_order_relaxed); });
+  }
+  void AddCounter(std::string_view name, const ShardedCounter& value) {
+    Add(name, MetricKind::kCounter, [&value] { return value.load(); });
   }
   void AddGauge(std::string_view name, std::function<uint64_t()> reader) {
     Add(name, MetricKind::kGauge, std::move(reader));

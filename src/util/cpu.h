@@ -102,6 +102,11 @@ class CoreRegistry {
     return n < kMaxCores ? n : kMaxCores;
   }
 
+  // The calling thread's id without registering it: -1 for a thread that
+  // never registered. For callers that must not consume an id (registering
+  // grows RegisteredCores(), the default shootdown population).
+  static int PeekCurrentCore() { return tls_core_id_; }
+
   // Test-only: forces the calling thread's logical core id.
   static void SetCurrentCoreForTest(int core) { tls_core_id_ = core; }
 

@@ -21,6 +21,7 @@
 
 #include "src/telemetry/metrics.h"
 #include "src/util/cpu.h"
+#include "src/util/sharded_counter.h"
 #include "src/util/sim_clock.h"
 #include "src/vmx/cost_model.h"
 
@@ -46,8 +47,8 @@ class PostedIpiFabric {
   // (fault entry) by the core's owner thread.
   void Absorb(SimClock& clock, int core);
 
-  uint64_t TotalSent() const { return total_sent_.load(std::memory_order_relaxed); }
-  uint64_t TotalThrottled() const { return total_throttled_.load(std::memory_order_relaxed); }
+  uint64_t TotalSent() const { return total_sent_.load(); }
+  uint64_t TotalThrottled() const { return total_throttled_.load(); }
 
   SendPath send_path() const { return send_path_; }
   void set_send_path(SendPath path) { send_path_ = path; }
@@ -71,8 +72,8 @@ class PostedIpiFabric {
   uint64_t rate_limit_per_ms_ = 0;
   std::array<Mailbox, CoreRegistry::kMaxCores> mailboxes_{};
   std::array<SenderBucket, CoreRegistry::kMaxCores> buckets_{};
-  std::atomic<uint64_t> total_sent_{0};
-  std::atomic<uint64_t> total_throttled_{0};
+  ShardedCounter total_sent_;
+  ShardedCounter total_throttled_;
   // Last member: unregisters before the counters it reads are destroyed.
   telemetry::CallbackGroup metrics_;
 };

@@ -14,6 +14,7 @@
 #include "src/telemetry/metrics.h"
 #include "src/telemetry/scoped_timer.h"
 #include "src/telemetry/span.h"
+#include "src/util/sharded_counter.h"
 #include "src/util/sim_clock.h"
 
 namespace aquila {
@@ -70,6 +71,21 @@ TEST(TelemetryOffTest, ExpositionStillWorks) {
   EXPECT_NE(text.find("aquila_test_off_gauge 11"), std::string::npos);
   std::string json = Registry().ToJson();
   EXPECT_NE(json.find("\"aquila.test.off_gauge\":11"), std::string::npos);
+}
+
+TEST(TelemetryOffTest, ShardedStatsStillCountAndReport) {
+  // Stats counters are runtime state, not recording: they count with
+  // telemetry compiled out, and their callbacks report the sum of shards.
+  ShardedCounter counter;
+  counter.fetch_add(5);
+  counter.fetch_add(2);
+  EXPECT_EQ(counter.load(), 7u);
+  telemetry::CallbackGroup group;
+  group.AddCounter("aquila.test.off_sharded", counter);
+  const telemetry::MetricsSnapshot snap = Registry().Snapshot();
+  const telemetry::MetricSample* sample = snap.Find("aquila.test.off_sharded");
+  ASSERT_NE(sample, nullptr);
+  EXPECT_EQ(sample->value, 7u);
 }
 
 }  // namespace

@@ -286,6 +286,8 @@ TEST(TelemetryCoverageTest, OneSnapshotCoversAllSubsystems) {
            "aquila_core_major_faults",     // core fault path
            "aquila_core_evicted_pages",    // core eviction path
            "aquila_cache_lookups",         // page cache
+           "aquila_cache_hash_inserts",    // page-cache hash probe lengths
+           "aquila_cache_hash_insert_probes",
            "aquila_freelist_free_frames",  // freelist gauge
            "aquila_tlb_hits",              // TLB
            "aquila_clock_preempt_corrections",  // scope clock
@@ -302,6 +304,9 @@ TEST(TelemetryCoverageTest, OneSnapshotCoversAllSubsystems) {
   EXPECT_GT(snap.Find("aquila.core.major_faults")->value, 0u);
   EXPECT_GT(snap.Find("aquila.core.evicted_pages")->value, 0u);
   EXPECT_GT(snap.Find("aquila.storage.reads")->value, 0u);
+  EXPECT_GT(snap.Find("aquila.cache.hash_inserts")->value, 0u);
+  EXPECT_GE(snap.Find("aquila.cache.hash_insert_probes")->value,
+            snap.Find("aquila.cache.hash_inserts")->value);
   EXPECT_GT(snap.Find("aquila.kvs.puts")->value, 1999u);
   EXPECT_GT(snap.Find("aquila.core.fault_major_cycles")->digest.count, 0u);
   EXPECT_GT(snap.Find("aquila.storage.read_cycles")->digest.count, 0u);

@@ -1,9 +1,10 @@
 // Unit tests for src/util: histogram, RNG distributions, simulated clocks,
-// serialized resources, bit helpers.
+// serialized resources, bit helpers, sharded counters.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <cstring>
 #include <ctime>
 #include <thread>
@@ -13,6 +14,7 @@
 #include "src/util/crc32c.h"
 #include "src/util/histogram.h"
 #include "src/util/rng.h"
+#include "src/util/sharded_counter.h"
 #include "src/util/sim_clock.h"
 
 namespace aquila {
@@ -405,6 +407,73 @@ TEST(CostBreakdownTest, Arithmetic) {
   EXPECT_EQ(diff.cycles[0], 70u);
   diff += b;
   EXPECT_EQ(diff.cycles[0], 100u);
+}
+
+TEST(ShardedCounterTest, WrappingCoreIdsGiveExactTotals) {
+  // 8 threads cover core ids 0..31 (thread t runs as t, t+8, t+16, t+24), so
+  // every one of the 16 shards is written by two cores, concurrently.
+  constexpr int kThreads = 8;
+  constexpr int kCores = 32;
+  constexpr uint64_t kOpsPerCore = 20000;
+  ShardedCounter counter;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; t++) {
+    threads.emplace_back([&counter, t] {
+      for (int core = t; core < kCores; core += kThreads) {
+        CoreRegistry::SetCurrentCoreForTest(core);
+        for (uint64_t i = 0; i < kOpsPerCore; i++) {
+          counter.fetch_add(static_cast<uint64_t>(core) + 1);
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  // sum over cores of (core + 1) = 32 * 33 / 2.
+  EXPECT_EQ(counter.load(), kOpsPerCore * kCores * (kCores + 1) / 2);
+}
+
+TEST(ShardedCounterTest, GaugeAddedOnOneCoreAndSubtractedOnAnotherReturnsToZero) {
+  ShardedCounter gauge;
+  constexpr uint64_t kOps = 50000;
+  auto run_on = [&gauge](int core, bool add) {
+    return std::thread([&gauge, core, add] {
+      CoreRegistry::SetCurrentCoreForTest(core);
+      for (uint64_t i = 0; i < kOps; i++) {
+        if (add) {
+          gauge.fetch_add(1);
+        } else {
+          gauge.fetch_sub(1);
+        }
+      }
+    });
+  };
+  // Subtracting first drives core 12's shard below zero: the modular sum
+  // reads as -kOps.
+  run_on(12, false).join();
+  EXPECT_EQ(static_cast<int64_t>(gauge.load()), -static_cast<int64_t>(kOps));
+  run_on(3, true).join();
+  EXPECT_EQ(gauge.load(), 0u);
+  // Concurrent adds and subtracts on different shards also cancel exactly.
+  std::thread adder = run_on(5, true);
+  std::thread subtracter = run_on(6, false);
+  adder.join();
+  subtracter.join();
+  EXPECT_EQ(gauge.load(), 0u);
+}
+
+TEST(ShardedCounterTest, ShardsOccupyTheirOwnCacheLines) {
+  EXPECT_EQ(alignof(ShardedCounter), static_cast<size_t>(kCacheLineSize));
+  EXPECT_EQ(sizeof(ShardedCounter),
+            static_cast<size_t>(ShardedCounter::kShards) * kCacheLineSize);
+  // A plain field declared before a counter never shares its first line.
+  struct Mixed {
+    uint64_t read_mostly;
+    ShardedCounter counter;
+  };
+  EXPECT_EQ(offsetof(Mixed, counter) % kCacheLineSize, 0u);
+  EXPECT_GE(offsetof(Mixed, counter), static_cast<size_t>(kCacheLineSize));
 }
 
 }  // namespace

@@ -11,6 +11,14 @@ protection contract:
 
     uint64_t gpa = 0;  // guarded-by: written once under grow_lock_ ...
 
+ShardedCounter (src/util/sharded_counter.h) counts as an atomic member type:
+its shards are atomics.
+
+A second rule keeps the fault path's statistics sharded (DESIGN.md §8): a
+`struct ...Stats` under src/core, src/cache or src/mem, and DeviceStats, may
+not declare a raw `std::atomic<uint64_t>` counter; such fields are
+ShardedCounter, so recording one never moves a shared cache line.
+
 Exempt without annotation:
   - const / constexpr members (immutable after construction);
   - synchronization primitives (SpinLock, RwSpinLock, std::mutex, ...) —
@@ -40,7 +48,9 @@ SKIP_PREFIX_RE = re.compile(
     r"^\s*(static|using|typedef|friend|template|enum|struct|class|union|"
     r"public|private|protected|explicit|operator)\b"
 )
-ATOMIC_RE = re.compile(r"\bstd\s*::\s*atomic\b|\batomic<")
+ATOMIC_RE = re.compile(r"\bstd\s*::\s*atomic\b|\batomic<|\bShardedCounter\b")
+RAW_COUNTER_RE = re.compile(r"\bstd\s*::\s*atomic\s*<\s*(std\s*::\s*)?uint64_t\s*>")
+SHARDED_STATS_DIRS = ("src/core/", "src/cache/", "src/mem/")
 CONST_RE = re.compile(r"^\s*(mutable\s+)?(static\s+)?const(expr)?\b")
 # Types that are themselves synchronization primitives.
 SYNC_TYPE_RE = re.compile(
@@ -125,8 +135,23 @@ def member_name(decl: str) -> str:
     return m.group(1) if m else flat.strip()
 
 
+def must_shard(rel: str, name: str) -> bool:
+    if name == "DeviceStats":
+        return True
+    return name.endswith("Stats") and rel.replace(os.sep, "/").startswith(SHARDED_STATS_DIRS)
+
+
 def lint_struct(rel: str, name: str, body: str, base_line: int, errors: list):
     decls = list(split_declarations(body))
+    if must_shard(rel, name):
+        for decl, off in decls:
+            code = re.sub(r"//[^\n]*", "", decl)
+            if RAW_COUNTER_RE.search(code):
+                errors.append(
+                    f"{rel}:{base_line + off}: struct {name}: statistics field "
+                    f"'{member_name(code)}' is a raw std::atomic<uint64_t>; "
+                    f"use ShardedCounter (DESIGN.md §8)"
+                )
     has_atomic = any(
         ATOMIC_RE.search(re.sub(r"//[^\n]*", "", d)) for d, _ in decls)
     if not has_atomic:
@@ -183,8 +208,7 @@ def main() -> int:
     for err in errors:
         print(err)
     if errors:
-        print(f"check_atomics: {len(errors)} unannotated plain field(s) in "
-              f"atomic-bearing structs")
+        print(f"check_atomics: {len(errors)} violation(s)")
         return 1
     print(f"check_atomics: {atomic_structs}/{structs_seen} atomic-bearing "
           f"structs OK")
