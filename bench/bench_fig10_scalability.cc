@@ -6,8 +6,12 @@
 // modeled as serialized resources, so the shared-file configuration shows
 // the contention collapse of §6.5 deterministically. Latency percentiles
 // come from per-op simulated-cycle samples.
+//
+// Emits BENCH_fig10_scalability.json with one row per (layout, threads)
+// cell of each case; `--smoke` runs 1/4/8 threads with fewer ops for CI.
 #include <cinttypes>
 #include <algorithm>
+#include <cstring>
 #include <functional>
 #include <thread>
 
@@ -37,6 +41,9 @@ struct RunResult {
   // batch handed back (a fault in flight held the page's entry lock).
   double victims_per_sweep = 0;
   double freed_per_batch = 0;
+  // Aquila only: simulated cycles inside EvictBatch (sweep through frame
+  // release, shootdown included) per page it freed.
+  double evict_cycles_per_victim = 0;
 };
 
 // `maps[t]` is the mapping thread t reads from (all equal for shared mode).
@@ -96,17 +103,37 @@ RunResult RunThreads(const std::vector<MemoryMap*>& maps, int threads, uint64_t 
   return result;
 }
 
-void RunCase(const char* title, uint64_t shared_data_bytes, uint64_t private_data_bytes,
-             uint64_t cache_bytes) {
+std::string JsonRow(const char* layout, int threads, const RunResult& linux_result,
+                    const RunResult& aquila_result) {
+  char buf[768];
+  std::snprintf(buf, sizeof(buf),
+                "{\"layout\": \"%s\", \"threads\": %d, \"mmap_mops\": %.3f, "
+                "\"mmap_avg_us\": %.2f, \"mmap_p99_us\": %.2f, \"mmap_p999_us\": %.2f, "
+                "\"aquila_mops\": %.3f, \"aquila_avg_us\": %.2f, \"aquila_p99_us\": %.2f, "
+                "\"aquila_p999_us\": %.2f, \"shootdown_cycles_per_op\": %.2f, "
+                "\"victims_per_sweep\": %.1f, \"freed_per_batch\": %.1f, "
+                "\"evict_cycles_per_victim\": %.1f, \"speedup\": %.2f}",
+                layout, threads, linux_result.mops, linux_result.avg_us, linux_result.p99_us,
+                linux_result.p999_us, aquila_result.mops, aquila_result.avg_us,
+                aquila_result.p99_us, aquila_result.p999_us, aquila_result.shootdown_cyc_per_op,
+                aquila_result.victims_per_sweep, aquila_result.freed_per_batch,
+                aquila_result.evict_cycles_per_victim, aquila_result.mops / linux_result.mops);
+  return buf;
+}
+
+void RunCase(BenchJsonWriter& json, const char* section, const char* title, bool smoke,
+             uint64_t shared_data_bytes, uint64_t private_data_bytes, uint64_t cache_bytes) {
   PrintHeader(title);
-  const int thread_counts[] = {1, 2, 4, 8, 16, 32};
+  json.BeginSection(section);
+  const std::vector<int> thread_counts =
+      smoke ? std::vector<int>{1, 4, 8} : std::vector<int>{1, 2, 4, 8, 16, 32};
   // Ops sized so random reads are mostly cold misses at every thread count
   // (the paper's dataset is far larger than any run's access count).
-  uint64_t ops = Scaled(1800);
+  uint64_t ops = smoke ? 600 : Scaled(1800);
 
-  std::printf("%-8s %-8s | %10s %9s %9s %9s | %10s %9s %9s %9s %10s %9s %9s | %7s\n", "layout",
-              "threads", "mmap-Mops", "avg-us", "p99", "p99.9", "aqla-Mops", "avg-us", "p99",
-              "p99.9", "sd-cyc/op", "vict/swp", "freed/bt", "speedup");
+  std::printf("%-8s %-8s | %10s %9s %9s %9s | %10s %9s %9s %9s %10s %9s %9s %9s | %7s\n",
+              "layout", "threads", "mmap-Mops", "avg-us", "p99", "p99.9", "aqla-Mops", "avg-us",
+              "p99", "p99.9", "sd-cyc/op", "vict/swp", "freed/bt", "evc/vict", "speedup");
   for (const char* layout : {"shared", "private"}) {
     bool shared = std::string(layout) == "shared";
     for (int threads : thread_counts) {
@@ -173,6 +200,10 @@ void RunCase(const char* title, uint64_t shared_data_bytes, uint64_t private_dat
           aquila_result.freed_per_batch =
               static_cast<double>(fault_stats.evicted_pages.load()) / static_cast<double>(batches);
         }
+        if (uint64_t freed = fault_stats.evicted_pages.load(); freed > 0) {
+          aquila_result.evict_cycles_per_victim =
+              static_cast<double>(cache_stats.evict_cycles.load()) / static_cast<double>(freed);
+        }
         for (MemoryMap* map : maps) {
           if (map != nullptr) {
             (void)runtime->Unmap(map);
@@ -185,13 +216,14 @@ void RunCase(const char* title, uint64_t shared_data_bytes, uint64_t private_dat
         }
       }
       std::printf(
-          "%-8s %-8d | %10.3f %9.2f %9.2f %9.2f | %10.3f %9.2f %9.2f %9.2f %10.2f %9.1f %9.1f | "
-          "%6.2fx\n",
+          "%-8s %-8d | %10.3f %9.2f %9.2f %9.2f | %10.3f %9.2f %9.2f %9.2f %10.2f %9.1f %9.1f "
+          "%9.1f | %6.2fx\n",
           layout, threads, linux_result.mops, linux_result.avg_us, linux_result.p99_us,
           linux_result.p999_us, aquila_result.mops, aquila_result.avg_us, aquila_result.p99_us,
           aquila_result.p999_us, aquila_result.shootdown_cyc_per_op,
           aquila_result.victims_per_sweep, aquila_result.freed_per_batch,
-          aquila_result.mops / linux_result.mops);
+          aquila_result.evict_cycles_per_victim, aquila_result.mops / linux_result.mops);
+      json.AddRow(JsonRow(layout, threads, linux_result, aquila_result));
     }
   }
 }
@@ -200,16 +232,26 @@ void RunCase(const char* title, uint64_t shared_data_bytes, uint64_t private_dat
 }  // namespace bench
 }  // namespace aquila
 
-int main() {
+int main(int argc, char** argv) {
+  using aquila::bench::BenchJsonWriter;
   using aquila::bench::RunCase;
   using aquila::bench::Scaled;
+  bool smoke = false;
+  for (int i = 1; i < argc; i++) {
+    if (std::strcmp(argv[i], "--smoke") == 0) {
+      smoke = true;
+    }
+  }
+  BenchJsonWriter json("fig10_scalability", smoke, /*threads=*/smoke ? 8 : 32);
+  json.AddMeta("workload", "\"random 4K reads, shared file vs private file per thread\"");
   // (a) dataset fits in memory (paper: 100 GB data, 100 GB DRAM).
-  RunCase("Fig 10(a): random reads, dataset fits in memory",
+  RunCase(json, "fits_in_memory", "Fig 10(a): random reads, dataset fits in memory", smoke,
           Scaled(256ull << 20), Scaled(8ull << 20), Scaled(512ull << 20));
   // (b) dataset ~16x the cache (paper: 100 GB data, 8 GB DRAM).
-  RunCase("Fig 10(b): random reads, dataset larger than memory",
-          Scaled(256ull << 20), Scaled(8ull << 20), Scaled(16ull << 20));
+  RunCase(json, "larger_than_memory", "Fig 10(b): random reads, dataset larger than memory",
+          smoke, Scaled(256ull << 20), Scaled(8ull << 20), Scaled(16ull << 20));
   std::printf("\npaper: shared-file in-memory speedup 1.81x..8.37x (1..32 thr); "
               "out-of-memory 2.17x..12.92x; private-file 1.82x..1.99x and 2.21x..2.84x\n");
+  json.Write();
   return 0;
 }

@@ -8,10 +8,13 @@
 // handout of the dropped frame). The
 // same workload runs under broadcast, mask+gen, and reuse (deferred-elision)
 // IPI targeting at 1/4/8 cores; the table reports simulated shootdown cycles
-// per evicted page (initiator invalidation + IPI sends + absorbed victim
-// handler time, i.e. the whole CostCategory::kTlbShootdown bill), IPIs per
-// shootdown, and the reuse elide/mismatch counters; each cell is the
-// field-wise median of 15 runs. With private streams no remote core ever
+// per op (initiator invalidation + IPI sends + absorbed victim handler time,
+// i.e. the whole CostCategory::kTlbShootdown bill, over the fixed op count),
+// IPIs per shootdown, and the reuse elide/mismatch counters; each cell is
+// the field-wise median of 15 runs. The bill is charged per op, not per
+// evicted page: most shootdown rounds come from the drops, a fixed share of
+// the ops, while the evicted-page count follows thread interleaving (a
+// thread that runs more of its ops per time slice misses less). With private streams no remote core ever
 // maps a victim page, so mask+gen collapses the remote phase while
 // broadcast pays one IPI per other active core; reuse must beat mask+gen at
 // 8 cores by eliding same-owner recycles outright (the in-bench acceptance
@@ -42,7 +45,7 @@ namespace {
 struct Row {
   int cores = 0;
   const char* mode_name = "";
-  double cycles_per_evicted_page = 0;
+  double shootdown_cycles_per_op = 0;
   double ipis_per_shootdown = 0;
   uint64_t shootdowns = 0;
   uint64_t ipis_sent = 0;
@@ -135,10 +138,8 @@ Row RunEvictionChurn(ShootdownMaskMode mode, const char* mode_name, int threads,
   row.reuse_elided = runtime->tlb().reuse_elided();
   row.reuse_mismatch = runtime->tlb().reuse_mismatch();
   row.evicted_pages = runtime->fault_stats().evicted_pages.load();
-  if (row.evicted_pages > 0) {
-    row.cycles_per_evicted_page =
-        static_cast<double>(shootdown_cycles.load()) / row.evicted_pages;
-  }
+  row.shootdown_cycles_per_op = static_cast<double>(shootdown_cycles.load()) /
+                                static_cast<double>(ops_per_thread * threads);
   if (row.shootdowns > 0) {
     row.ipis_per_shootdown = static_cast<double>(row.ipis_sent) / row.shootdowns;
   }
@@ -151,6 +152,9 @@ Row RunEvictionChurn(ShootdownMaskMode mode, const char* mode_name, int threads,
 // Field-wise median over repeated runs of one sweep cell. Which core evicts
 // whose page is decided by host scheduling, so a single run scatters; the
 // median is what the committed trajectory and the gates below compare.
+// IPIs per shootdown is pooled instead (all IPIs over all shootdowns): under
+// mask+gen and reuse a run sends only 4-30 IPIs, so a per-run ratio moves
+// in steps of one IPI and its median still swung 0.05-0.21 between runs.
 Row MedianRow(const std::vector<Row>& runs) {
   auto median = [&runs]<typename T>(T Row::*field) {
     std::vector<T> values;
@@ -161,8 +165,15 @@ Row MedianRow(const std::vector<Row>& runs) {
     return values[values.size() / 2];
   };
   Row row = runs.front();
-  row.cycles_per_evicted_page = median(&Row::cycles_per_evicted_page);
-  row.ipis_per_shootdown = median(&Row::ipis_per_shootdown);
+  row.shootdown_cycles_per_op = median(&Row::shootdown_cycles_per_op);
+  uint64_t ipis = 0;
+  uint64_t shootdowns = 0;
+  for (const Row& run : runs) {
+    ipis += run.ipis_sent;
+    shootdowns += run.shootdowns;
+  }
+  row.ipis_per_shootdown =
+      shootdowns > 0 ? static_cast<double>(ipis) / static_cast<double>(shootdowns) : 0;
   row.shootdowns = median(&Row::shootdowns);
   row.ipis_sent = median(&Row::ipis_sent);
   row.ipis_elided = median(&Row::ipis_elided);
@@ -206,10 +217,10 @@ Row RunSeqScanElision(uint64_t data_bytes) {
 }
 
 void PrintRow(const Row& row) {
-  std::printf("%-10s %5d cores | %10.1f cyc/evicted-page | %6.2f IPIs/shootdown | "
+  std::printf("%-10s %5d cores | %8.1f shootdown cyc/op | %6.2f IPIs/shootdown | "
               "sent %8" PRIu64 "  elided %8" PRIu64 "  local %6" PRIu64
               " | reuse %6" PRIu64 "/%6" PRIu64 "\n",
-              row.mode_name, row.cores, row.cycles_per_evicted_page, row.ipis_per_shootdown,
+              row.mode_name, row.cores, row.shootdown_cycles_per_op, row.ipis_per_shootdown,
               row.ipis_sent, row.ipis_elided, row.shootdowns_local, row.reuse_elided,
               row.reuse_mismatch);
 }
@@ -217,12 +228,12 @@ void PrintRow(const Row& row) {
 std::string JsonRow(const Row& row) {
   char buf[512];
   std::snprintf(buf, sizeof(buf),
-                "{\"cores\": %d, \"mode\": \"%s\", \"cycles_per_evicted_page\": %.1f, "
-                "\"ipis_per_shootdown\": %.2f, \"shootdowns\": %" PRIu64
+                "{\"cores\": %d, \"mode\": \"%s\", \"shootdown_cycles_per_op\": %.2f, "
+                "\"ipis_per_shootdown\": %.4f, \"shootdowns\": %" PRIu64
                 ", \"ipis_sent\": %" PRIu64 ", \"ipis_elided\": %" PRIu64
                 ", \"shootdowns_local\": %" PRIu64 ", \"evicted_pages\": %" PRIu64
                 ", \"reuse_elided\": %" PRIu64 ", \"reuse_mismatch\": %" PRIu64 "}",
-                row.cores, row.mode_name, row.cycles_per_evicted_page, row.ipis_per_shootdown,
+                row.cores, row.mode_name, row.shootdown_cycles_per_op, row.ipis_per_shootdown,
                 row.shootdowns, row.ipis_sent, row.ipis_elided, row.shootdowns_local,
                 row.evicted_pages, row.reuse_elided, row.reuse_mismatch);
   return buf;
@@ -281,7 +292,7 @@ int main(int argc, char** argv) {
   AQUILA_CHECK(maskgen8 != nullptr && reuse8 != nullptr);
   AQUILA_CHECK(reuse8->reuse_elided > 0);
   AQUILA_CHECK(reuse8->reuse_mismatch > 0);
-  AQUILA_CHECK(reuse8->cycles_per_evicted_page < maskgen8->cycles_per_evicted_page);
+  AQUILA_CHECK(reuse8->shootdown_cycles_per_op < maskgen8->shootdown_cycles_per_op);
 
   PrintHeader("Reused-pages elision: 1 thread sequential scan, active_cores=4");
   Row seq = RunSeqScanElision(smoke ? (8ull << 20) : Scaled(32ull << 20));

@@ -1,5 +1,7 @@
 #include "src/cache/freelist.h"
 
+#include <algorithm>
+
 #include "src/util/race_injector.h"
 
 namespace aquila {
@@ -251,23 +253,48 @@ void TwoLevelFreelist::Free(int core, FrameId frame, const ReuseStamp& stamp) {
   MaybeOverflow(core);
 }
 
-void TwoLevelFreelist::FreeBatch(int core, const FrameId* frames, uint32_t count) {
-  if (count == 0) {
+void TwoLevelFreelist::LinkChain(std::span<const FrameId> frames,
+                                 std::span<const ReuseStamp> stamps) {
+  // Like the stamped Free: the slots are owned by the holder until the
+  // publish CAS, whose release edge publishes the stamps with the frames.
+  for (size_t i = 0; i < frames.size(); i++) {
+    stamps_[frames[i]] = i < stamps.size() ? stamps[i] : ReuseStamp{};
+    if (i + 1 < frames.size()) {
+      next_[frames[i]].store(frames[i + 1], std::memory_order_relaxed);
+    }
+  }
+}
+
+void TwoLevelFreelist::FreeBatch(int core, std::span<const FrameId> frames,
+                                 std::span<const ReuseStamp> stamps, FreeLevel level) {
+  if (frames.empty()) {
     return;
   }
-  // Like the stamped Free: the slots are owned by the holder until the
-  // publish CAS, and the PushChain release edge publishes the resets.
-  for (uint32_t i = 0; i < count; i++) {
-    stamps_[frames[i]] = ReuseStamp{};
+  size_t local = 0;
+  if (level == FreeLevel::kCoreFirst) {
+    // Only this core's thread pushes to its queue, so the size read here
+    // holds until the push below.
+    uint32_t queued = core_queues_[core].ApproxSize();
+    if (queued < options_.core_queue_threshold) {
+      local = std::min<size_t>(frames.size(), options_.core_queue_threshold - queued);
+    }
   }
-  for (uint32_t i = 0; i + 1 < count; i++) {
-    next_[frames[i]].store(frames[i + 1], std::memory_order_relaxed);
-  }
+  std::span<const FrameId> to_core = frames.first(local);
+  std::span<const FrameId> to_numa = frames.subspan(local);
+  LinkChain(to_core, stamps.first(std::min(local, stamps.size())));
+  LinkChain(to_numa, stamps.subspan(std::min(local, stamps.size())));
   AQUILA_RACE_POINT("freelist.free_batch.pre_publish");
-  int node = NumaTopology::NodeOfCore(core) % static_cast<int>(numa_queues_.size());
-  numa_queues_[node].PushChain(frames[0], frames[count - 1], count);
-  free_frames_.fetch_add(count, std::memory_order_relaxed);
-  stats_.batch_moves.fetch_add(1, std::memory_order_relaxed);
+  if (!to_core.empty()) {
+    core_queues_[core].PushChain(to_core.front(), to_core.back(),
+                                 static_cast<uint32_t>(to_core.size()));
+  }
+  if (!to_numa.empty()) {
+    int node = NumaTopology::NodeOfCore(core) % static_cast<int>(numa_queues_.size());
+    numa_queues_[node].PushChain(to_numa.front(), to_numa.back(),
+                                 static_cast<uint32_t>(to_numa.size()));
+    stats_.batch_moves.fetch_add(1, std::memory_order_relaxed);
+  }
+  free_frames_.fetch_add(static_cast<int64_t>(frames.size()), std::memory_order_relaxed);
 }
 
 void TwoLevelFreelist::MaybeOverflow(int core) {

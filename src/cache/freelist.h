@@ -18,6 +18,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "src/util/cpu.h"
@@ -51,6 +52,18 @@ struct ReuseStamp {
   int32_t core = -1;       // core that freed the frame
   bool deferred = false;   // a DeferredShootdown for vpn is parked in TlbSet
   bool valid = false;      // written by a stamped Free (vs a default reset)
+};
+
+// Where a batch free publishes its frames.
+enum class FreeLevel {
+  // The freeing core's queue up to its overflow threshold, the rest to the
+  // core's NUMA queue: for eviction, whose caller allocates next.
+  kCoreFirst,
+  // All to the NUMA queue: for retirement bursts whose freeing thread may
+  // never allocate again. Core queues are owner-only, so a burst parked in
+  // one is out of every other core's reach, and those cores then grind
+  // through fruitless eviction sweeps while hundreds of frames idle.
+  kNuma,
 };
 
 // Treiber stack of frame ids, intrusive over a shared next[] array.
@@ -155,15 +168,13 @@ class TwoLevelFreelist {
   // written before the Push, so the push edge publishes it with the frame.
   void Free(int core, FrameId frame, const ReuseStamp& stamp);
 
-  // Returns a burst of frames straight to `core`'s NUMA queue in one
-  // PushChain, skipping the core level. A burst parked in the freeing core's
-  // queue is invisible to every other core (core queues are owner-only) and
-  // can sit entirely under the overflow threshold — other cores then grind
-  // through fruitless eviction sweeps while hundreds of frames idle. Level
-  // movement is batched anyway (§3.2), so a batch-sized free starts at the
-  // shared level. Stamps are reset: batch frees come from retirement paths
-  // that already executed or captured their shootdowns.
-  void FreeBatch(int core, const FrameId* frames, uint32_t count);
+  // Returns a batch of frames with at most one PushChain per queue level
+  // and one free-count add. `stamps[i]` is recorded for `frames[i]` as in
+  // the stamped Free; frames past the end of `stamps` get a default stamp.
+  // kCoreFirst fills `core`'s queue only up to the overflow threshold, so a
+  // batch never leaves more there than MaybeOverflow would.
+  void FreeBatch(int core, std::span<const FrameId> frames, std::span<const ReuseStamp> stamps,
+                 FreeLevel level);
 
   // Pops an intact aligned run (local NUMA node first, then remote steal).
   // Returns the first frame id of the run — frames [first, first+kRunFrames)
@@ -194,6 +205,10 @@ class TwoLevelFreelist {
 
  private:
   void AddSingles(FrameId first, uint32_t count);
+  // Links frames[i] -> frames[i+1] through next_ and records each frame's
+  // stamp (default past the end of `stamps`); the caller publishes the
+  // chain with one PushChain.
+  void LinkChain(std::span<const FrameId> frames, std::span<const ReuseStamp> stamps);
   FrameId PopFrame(int core);
   FrameId PopRun(int local_node);
   void MaybeOverflow(int core);

@@ -28,8 +28,19 @@
 //    handler holds the per-page VMA entry lock), so the table only needs to
 //    be internally consistent across *different* keys.
 //
-// Capacity is 2x the frame count (load factor <= 0.5), so probe sequences
-// stay short and tombstone buildup is bounded by reuse on insert.
+// Capacity is 2x the frame count (load factor <= 0.5). Tombstones are NOT
+// kept in check by reuse on insert: an insert reuses the first tombstone on
+// its chain, but empties are never re-created, so under steady
+// insert/remove churn the table fills with tombstones that every scan
+// walks. On mmiobench randread_ooc a lookup probes ~11 slots and an insert
+// ~9. Chain length is not where the cycles go, though: the first slot of a
+// probe is the one cold miss, and the rest of the chain sits on adjacent
+// lines. A 1.3-probe Remove cost as much as an 11-probe Lookup (~340 host
+// cycles each), and a tombstone-free variant (seqlock readers, striped
+// writers, backward-shift delete) measured no faster end to end (3 pairs:
+// sim kop/s 2325/2240/2233 -> 2060/2173/2216, p99.9 128-137 -> 160-172 us).
+// Eviction hides the miss instead: it prefetches each victim's home slot a
+// few victims ahead (Prefetch below).
 #ifndef AQUILA_SRC_CACHE_LOCKFREE_HASH_H_
 #define AQUILA_SRC_CACHE_LOCKFREE_HASH_H_
 
@@ -166,6 +177,10 @@ class LockFreeHash {
     }
     return false;
   }
+
+  // Prefetches `key`'s home slot for writing. The first line of a probe is
+  // where Remove and Lookup stall; the rest of a chain is usually adjacent.
+  void Prefetch(uint64_t key) const { PrefetchForWrite(&slots_[Mix64(key) & mask_]); }
 
   uint64_t size() const { return size_.load(); }
   uint64_t capacity() const { return capacity_; }

@@ -22,6 +22,7 @@ PageCache::PageCache(Hypervisor* hypervisor, int guest, Vcpu& vcpu, const Option
   metrics_.AddCounter("aquila.cache.lookup_hits", stats_.lookup_hits);
   metrics_.AddCounter("aquila.cache.evictions", stats_.evictions);
   metrics_.AddCounter("aquila.cache.clock_sweeps", stats_.clock_sweeps);
+  metrics_.AddCounter("aquila.cache.evict_cycles", stats_.evict_cycles);
   metrics_.AddGauge("aquila.cache.capacity_pages", [this] { return capacity_pages(); });
   metrics_.Add("aquila.cache.hash_inserts", telemetry::MetricKind::kCounter,
                [this] { return hash_.probe_stats().insert_calls; });
@@ -95,40 +96,37 @@ FrameId PageCache::AllocFrame(Vcpu& vcpu, int core, ReuseStamp* stamp_out) {
 
 void PageCache::FreeFrame(int core, FrameId id) { FreeFrame(core, id, ReuseStamp{}); }
 
-void PageCache::FreeFrame(int core, FrameId id, const ReuseStamp& stamp) {
-  Frame& f = frames_[id];
+void PageCache::ResetForFree(Frame& f) {
   f.key.store(0, std::memory_order_relaxed);
   f.vaddr.store(0, std::memory_order_relaxed);
   f.dirty.store(0, std::memory_order_relaxed);
   // Recycle resets the shootdown-routing state: the next identity this frame
   // takes starts with no mapped cores and no insert epoch (DESIGN.md §10).
-  // The stores may be relaxed ONLY because the freelist Push below is a
-  // release edge and AllocFrame reads after the matching acquire Pop: the
+  // The stores may be relaxed ONLY because the freelist push that follows is
+  // a release edge and AllocFrame reads after the matching acquire Pop: the
   // resets (and the reuse stamp, which rides the same edge) happen-before
   // the next allocation. A concurrently allocating core can therefore never
   // observe this incarnation's mask/epoch — AllocFrame DCHECKs it, and the
-  // race points below let the stress harness stretch the window.
+  // race points in FreeFrame let the stress harness stretch the window.
   f.cpu_mask.store(0, std::memory_order_relaxed);
   f.tlb_epoch.store(0, std::memory_order_relaxed);
   AQUILA_RACE_POINT("page_cache.free.pre_publish");
   f.state.store(FrameState::kFree, std::memory_order_release);
+}
+
+void PageCache::FreeFrame(int core, FrameId id, const ReuseStamp& stamp) {
+  ResetForFree(frames_[id]);
   AQUILA_RACE_POINT("page_cache.free.pre_freelist");
   freelist_.Free(core, id, stamp);
 }
 
-void PageCache::FreeFrames(int core, const FrameId* ids, uint32_t count) {
-  // Same reset-then-publish contract as FreeFrame; the batch PushChain is
-  // the release edge that publishes every reset at once.
-  for (uint32_t i = 0; i < count; i++) {
-    Frame& f = frames_[ids[i]];
-    f.key.store(0, std::memory_order_relaxed);
-    f.vaddr.store(0, std::memory_order_relaxed);
-    f.dirty.store(0, std::memory_order_relaxed);
-    f.cpu_mask.store(0, std::memory_order_relaxed);
-    f.tlb_epoch.store(0, std::memory_order_relaxed);
-    f.state.store(FrameState::kFree, std::memory_order_release);
+void PageCache::FreeFrames(int core, std::span<const FrameId> frames, FreeLevel level,
+                           std::span<const ReuseStamp> stamps) {
+  for (FrameId id : frames) {
+    ResetForFree(frames_[id]);
   }
-  freelist_.FreeBatch(core, ids, count);
+  AQUILA_RACE_POINT("page_cache.free.pre_freelist");
+  freelist_.FreeBatch(core, frames, stamps, level);
 }
 
 size_t PageCache::SelectVictims(size_t max, FrameId* out) {
@@ -148,16 +146,20 @@ size_t PageCache::SelectVictims(size_t max, FrameId* out) {
     // A chunk never exceeds the victims still wanted, so every claimed slot
     // is visited: no call stops inside its chunk and leaves slots behind.
     uint64_t chunk = std::min<uint64_t>({kSweepChunk, max - n, limit - step});
-    uint64_t base = clock_hand_.fetch_add(chunk, std::memory_order_relaxed);
+    uint64_t slot = clock_hand_.fetch_add(chunk, std::memory_order_relaxed) % total;
     step += chunk;
-    for (uint64_t i = 0; i < chunk; i++) {
-      uint64_t slot = (base + i) % total;
+    for (uint64_t i = 0; i < chunk; i++, slot = (slot + 1 == total) ? 0 : slot + 1) {
       Frame& f = frames_[slot];
       FrameState state = f.state.load(std::memory_order_acquire);
       if (state != FrameState::kResident) {
         continue;
       }
-      if (f.referenced.exchange(0, std::memory_order_relaxed) != 0) {
+      // Read the bit and write it only when set: an unconditional exchange
+      // would dirty every resident slot's line the sweep passes. A fault
+      // that sets the bit between the load and the store loses one second
+      // chance, which the clock approximation tolerates.
+      if (f.referenced.load(std::memory_order_relaxed) != 0) {
+        f.referenced.store(0, std::memory_order_relaxed);
         continue;  // second chance
       }
       AQUILA_RACE_POINT("page_cache.sweep.pre_claim");
@@ -273,13 +275,7 @@ FrameId PageCache::AllocRun(int core) {
 
 void PageCache::FreeRun(int core, FrameId first) {
   for (uint32_t i = 0; i < kRunFrames; i++) {
-    Frame& f = frames_[first + i];
-    f.key.store(0, std::memory_order_relaxed);
-    f.vaddr.store(0, std::memory_order_relaxed);
-    f.dirty.store(0, std::memory_order_relaxed);
-    f.cpu_mask.store(0, std::memory_order_relaxed);
-    f.tlb_epoch.store(0, std::memory_order_relaxed);
-    f.state.store(FrameState::kFree, std::memory_order_release);
+    ResetForFree(frames_[first + i]);
   }
   freelist_.FreeRun(core, first);
 }

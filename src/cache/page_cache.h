@@ -21,6 +21,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "src/cache/dirty_tree.h"
@@ -106,6 +107,9 @@ class PageCache {
     ShardedCounter lookup_hits;
     ShardedCounter evictions;
     ShardedCounter clock_sweeps;
+    // Simulated cycles of whole eviction batches: sweep, reclaim,
+    // writeback, shootdown and frame release (NoteEvictCycles).
+    ShardedCounter evict_cycles;
   };
 
   // Grants the initial capacity from the hypervisor (one vmcall), charged to
@@ -119,6 +123,9 @@ class PageCache {
   bool Lookup(uint64_t key, FrameId* frame);
   bool InsertMapping(uint64_t key, FrameId frame);
   bool RemoveMapping(uint64_t key);
+  // Prefetches the hash home slot of `key` for writing: eviction issues it
+  // a few victims ahead of the RemoveMapping that consumes it.
+  void PrefetchMapping(uint64_t key) const { hash_.Prefetch(key); }
 
   // --- Frames -------------------------------------------------------------------
   Frame& frame(FrameId id) { return frames_[id]; }
@@ -140,11 +147,13 @@ class PageCache {
   // frame's routing state first — see the ordering contract in FreeFrame.
   void FreeFrame(int core, FrameId id);
   void FreeFrame(int core, FrameId id, const ReuseStamp& stamp);
-  // Bulk free that publishes the whole batch to the NUMA level in one push:
-  // for retirement bursts (huge-page promotion replacing up to 512 resident
-  // 4K frames with a run) that would otherwise pile up invisibly in one
-  // core's queue while allocation on other cores falls back to eviction.
-  void FreeFrames(int core, const FrameId* ids, uint32_t count);
+  // Bulk free: the same reset as FreeFrame for every frame, then one chain
+  // push per queue level (TwoLevelFreelist::FreeBatch); `stamps[i]` is
+  // frames[i]'s stamp, and frames past the end of `stamps` carry none.
+  // Eviction frees kCoreFirst; retirement bursts (unmap, huge-page
+  // promotion) free kNuma.
+  void FreeFrames(int core, std::span<const FrameId> frames, FreeLevel level,
+                  std::span<const ReuseStamp> stamps = {});
 
   // Allocates a 2 MB-aligned kRunFrames-frame run for huge-page promotion;
   // every frame comes back in state kFilling, owned by the caller. Returns
@@ -162,9 +171,16 @@ class PageCache {
   // --- Eviction support -----------------------------------------------------------
   // Clock sweep: claims up to `max` resident frames (state -> kEvicting) and
   // returns them. Frames with the reference bit set get a second chance.
-  // The hand advances up to kSweepChunk slots per atomic step.
+  // The hand advances up to kSweepChunk slots per atomic step; within a
+  // chunk a slot costs loads only, plus a store for a set reference bit and
+  // the claim CAS for a victim.
   size_t SelectVictims(size_t max, FrameId* out);
   static constexpr uint64_t kSweepChunk = 64;
+  // Charges one eviction batch's simulated cycles to Stats::evict_cycles;
+  // the fault path's EvictBatch calls it once per batch.
+  void NoteEvictCycles(uint64_t cycles) {
+    stats_.evict_cycles.fetch_add(cycles, std::memory_order_relaxed);
+  }
 
   // --- Dirty tracking --------------------------------------------------------------
   // Idempotent: the dirty flag's 0 -> 1 edge (atomic exchange) decides which
@@ -194,6 +210,11 @@ class PageCache {
   uint64_t ApproxFreeFrames() const { return freelist_.ApproxFree(); }
 
  private:
+  // Clears a frame's identity and shootdown-routing state and marks it
+  // kFree; the caller's freelist push is the release edge that publishes it
+  // (see the ordering contract in FreeFrame).
+  void ResetForFree(Frame& f);
+
   struct GpaRange {
     uint64_t base_gpa = 0;      // guarded-by: immutable after Grow publishes the range
     FrameId first_frame = 0;    // guarded-by: immutable after Grow publishes the range

@@ -181,7 +181,10 @@ class AquilaMap : public MemoryMap {
   struct ReclaimBatch {
     WritebackPlanner planner;             // dirty victims
     std::vector<PageShootdown> vpns;      // translations to shoot down
-    std::vector<ReclaimedFrame> to_free;  // freed only after the shootdown
+    std::vector<FrameId> to_free;         // freed only after the shootdown
+    // stamps[i] is to_free[i]'s last-owner stamp (a deferred shootdown);
+    // entries past its end carry none.
+    std::vector<ReuseStamp> stamps;
   };
   // Reclaims one page of this mapping whose frame the caller claimed
   // (kEvicting) under the page's entry lock: demotes its huge span, removes

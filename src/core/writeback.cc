@@ -80,7 +80,7 @@ void WritebackPlanner::AddReclaim(const WritebackItem& item) {
   }
 }
 
-Status WritebackPlanner::SubmitReclaim(Vcpu& vcpu, std::vector<ReclaimedFrame>* to_free) {
+Status WritebackPlanner::SubmitReclaim(Vcpu& vcpu, std::vector<FrameId>* to_free) {
   if (items_.empty()) {
     return Status::Ok();
   }
@@ -106,7 +106,7 @@ Status WritebackPlanner::SubmitReclaim(Vcpu& vcpu, std::vector<ReclaimedFrame>* 
     for (size_t k = begin; k < end; k++) {
       const WritebackItem& item = items_[k];
       if (status.ok()) {
-        to_free->push_back(ReclaimedFrame{item.frame, ReuseStamp{}});
+        to_free->push_back(item.frame);
       } else {
         // Unwritten dirty data must not be dropped: back into the cache,
         // dirty, for the next writeback to retry.

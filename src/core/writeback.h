@@ -55,14 +55,6 @@ struct WritebackItem {
   bool operator<(const WritebackItem& other) const { return sort_key < other.sort_key; }
 };
 
-// A frame released by reclaim. It is freed only after the batch's
-// shootdown; `stamp` carries the last-owner stamp of a deferred shootdown
-// (default-constructed when none was deferred).
-struct ReclaimedFrame {
-  FrameId frame = kInvalidFrame;
-  ReuseStamp stamp;
-};
-
 // Collect -> sort -> submit: the single writeback pipeline shared by
 // eviction, msync, madvise(DONTNEED) and unmap.
 class WritebackPlanner {
@@ -96,7 +88,7 @@ class WritebackPlanner {
   // group is restored dirty and resident, a written group counts
   // writeback_pages and appends its frames to `to_free`; every held entry
   // lock is released. Returns the first error.
-  Status SubmitReclaim(Vcpu& vcpu, std::vector<ReclaimedFrame>* to_free);
+  Status SubmitReclaim(Vcpu& vcpu, std::vector<FrameId>* to_free);
 
  private:
   // Sorting is dirty-tree bookkeeping work, charged to kDirtyTracking.

@@ -2,6 +2,7 @@
 
 #include <array>
 
+#include "src/util/cpu.h"
 #include "src/util/logging.h"
 
 namespace aquila {
@@ -169,6 +170,13 @@ bool PageTable::Install(uint64_t vaddr, uint64_t gpa, uint64_t flags) {
       present_.fetch_add(1, std::memory_order_relaxed);
       return true;
     }
+  }
+}
+
+void PageTable::Prefetch(uint64_t vaddr) const {
+  std::atomic<uint64_t>* pte = WalkExisting(vaddr);
+  if (pte != nullptr) {
+    PrefetchForWrite(pte);
   }
 }
 

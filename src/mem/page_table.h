@@ -98,6 +98,11 @@ class PageTable {
   // Clears the PTE and returns its previous value.
   uint64_t Remove(uint64_t vaddr);
 
+  // Prefetches the leaf PTE of `vaddr` for writing (a later Remove
+  // exchanges it). Walks the interior levels, which stay cache-hot, and
+  // touches nothing when no 4K leaf exists.
+  void Prefetch(uint64_t vaddr) const;
+
   uint64_t present_count() const { return present_.load(); }
 
  private:

@@ -53,6 +53,11 @@ inline void CpuRelax() {
 #endif
 }
 
+// Requests the cache line holding `addr` with write intent, so a later store
+// or RMW on it does not stall on the miss. A hint: never faults, even on an
+// address that is not mapped.
+inline void PrefetchForWrite(const void* addr) { __builtin_prefetch(addr, 1, 3); }
+
 // Spin-wait helper: pause a few rounds, then yield the host CPU. Simulations
 // oversubscribe host cores heavily (32 workers on 1 CPU); yielding lets the
 // thread we are waiting on actually run instead of burning a quantum.

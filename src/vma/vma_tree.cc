@@ -150,6 +150,13 @@ bool VmaTree::TryLockEntry(uint64_t page, Vma** vma) {
   return true;
 }
 
+void VmaTree::PrefetchEntry(uint64_t page) const {
+  std::atomic<uint64_t>* slot = SlotFor(page, /*create=*/false);
+  if (slot != nullptr) {
+    PrefetchForWrite(slot);
+  }
+}
+
 void VmaTree::UnlockEntry(uint64_t page) {
   std::atomic<uint64_t>* slot = SlotFor(page, false);
   AQUILA_CHECK(slot != nullptr);

@@ -69,6 +69,11 @@ class VmaTree {
 
   void UnlockEntry(uint64_t page);
 
+  // Prefetches `page`'s leaf slot for writing (a later TryLockEntry CASes
+  // it). Walks the interior levels, which stay cache-hot, and touches
+  // nothing when they do not reach a leaf.
+  void PrefetchEntry(uint64_t page) const;
+
   uint64_t mapped_pages() const { return mapped_pages_.load(std::memory_order_relaxed); }
 
  private:

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <random>
+#include <map>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -246,6 +248,91 @@ TEST(FreelistTest, FreeGoesToCoreQueueFirst) {
   FrameId f = fl.Alloc(1);
   EXPECT_NE(f, kInvalidFrame);
   EXPECT_GT(fl.stats().core_hits.load(), 0u);
+}
+
+// Chain release (FreeBatch): the freeing core's queue fills only up to its
+// overflow threshold, the remainder lands on the core's NUMA queue as one
+// chain, every frame keeps its own stamp (frames past the end of the stamp
+// span get none), and the free count is exact.
+TEST(FreelistTest, ChainReleaseFillsCoreQueueToThresholdThenOneNumaChain) {
+  TwoLevelFreelist::Options options;
+  options.core_queue_threshold = 8;
+  options.move_batch = 4;
+  constexpr uint32_t kFrames = 64;
+  constexpr int kCore = 1;
+  TwoLevelFreelist fl(kFrames, options);
+  fl.AddFrames(0, kFrames);
+  std::vector<FrameId> held;
+  for (uint32_t i = 0; i < kFrames; i++) {
+    held.push_back(fl.Alloc(kCore));
+  }
+  ASSERT_EQ(fl.Alloc(kCore), kInvalidFrame);
+  ASSERT_EQ(fl.ApproxFree(), 0u);
+
+  // Three frames already queued on the core: the batch may add only 5 more.
+  for (int i = 0; i < 3; i++) {
+    fl.Free(kCore, held.back());
+    held.pop_back();
+  }
+  std::vector<FrameId> batch;
+  std::vector<ReuseStamp> stamps;  // the last 5 frames go without one
+  for (int i = 0; i < 20; i++) {
+    batch.push_back(held.back());
+    held.pop_back();
+    if (i < 15) {
+      ReuseStamp stamp;
+      stamp.vpn = 1000 + batch.back();
+      stamp.core = kCore;
+      stamp.valid = true;
+      stamps.push_back(stamp);
+    }
+  }
+  const uint64_t moves_before = fl.stats().batch_moves.load();
+  fl.FreeBatch(kCore, batch, stamps, FreeLevel::kCoreFirst);
+  EXPECT_EQ(fl.ApproxFree(), 23u);
+  EXPECT_EQ(fl.stats().batch_moves.load(), moves_before + 1) << "one NUMA chain";
+
+  // 8 core hits (threshold), then the 15 spilled frames from the NUMA level.
+  std::map<FrameId, uint64_t> expected_vpn;
+  for (size_t i = 0; i < stamps.size(); i++) {
+    expected_vpn[batch[i]] = stamps[i].vpn;
+  }
+  const uint64_t core_hits_before = fl.stats().core_hits.load();
+  const uint64_t numa_hits_before = fl.stats().numa_hits.load();
+  for (int i = 0; i < 23; i++) {
+    ReuseStamp stamp;
+    FrameId f = fl.Alloc(kCore, &stamp);
+    ASSERT_NE(f, kInvalidFrame);
+    held.push_back(f);
+    auto it = expected_vpn.find(f);
+    if (it == expected_vpn.end()) {
+      EXPECT_FALSE(stamp.valid) << "unstamped frame " << f;
+    } else {
+      EXPECT_TRUE(stamp.valid);
+      EXPECT_EQ(stamp.vpn, it->second) << "frame " << f << " lost its stamp";
+      EXPECT_EQ(stamp.core, kCore);
+      expected_vpn.erase(it);
+    }
+  }
+  EXPECT_TRUE(expected_vpn.empty());
+  EXPECT_EQ(fl.stats().core_hits.load() - core_hits_before, 8u);
+  EXPECT_EQ(fl.stats().numa_hits.load() - numa_hits_before, 15u);
+  EXPECT_EQ(fl.Alloc(kCore), kInvalidFrame);
+  EXPECT_EQ(fl.ApproxFree(), 0u);
+
+  // kNuma skips the core level entirely; a batch that fits the core queue
+  // under kCoreFirst moves nothing to the NUMA level.
+  ASSERT_EQ(held.size(), kFrames);
+  fl.FreeBatch(kCore, std::span(held).first(4), {}, FreeLevel::kCoreFirst);
+  EXPECT_EQ(fl.stats().batch_moves.load(), moves_before + 1);
+  fl.FreeBatch(kCore, std::span(held).subspan(4), {}, FreeLevel::kNuma);
+  EXPECT_EQ(fl.stats().batch_moves.load(), moves_before + 2);
+  EXPECT_EQ(fl.ApproxFree(), kFrames);
+  const uint64_t core_hits_mid = fl.stats().core_hits.load();
+  while (fl.Alloc(kCore) != kInvalidFrame) {
+  }
+  EXPECT_EQ(fl.stats().core_hits.load() - core_hits_mid, 4u);
+  EXPECT_EQ(fl.ApproxFree(), 0u);
 }
 
 TEST(FreelistTest, RemoteNumaFallback) {

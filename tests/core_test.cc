@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <cstring>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -744,6 +745,200 @@ TEST_F(AsyncAquilaTest, MultiThreadedAsyncIntegrity) {
   ASSERT_TRUE(runtime_->Unmap(*map).ok());
   EXPECT_EQ(runtime_->cache().ApproxFreeFrames(), kCachePages);
 }
+
+// --- One mixed eviction batch ---------------------------------------------------
+//
+// A single EvictBatch over a cache that holds every kind of victim at once:
+// clean mapped pages, dirty pages (written back synchronously or through the
+// async engine, by parameter), read-ahead pages with no translation
+// (vaddr == 0), and pages whose VMA entry lock is held as if by a fault in
+// flight. Afterwards every frame must be free or resident exactly once, and
+// no PTE or hash entry may name a freed frame.
+class EvictBatchMixTest : public ::testing::TestWithParam<bool> {
+ protected:
+  static constexpr uint64_t kCachePages = 48;
+  static constexpr uint64_t kMapPages = 64;
+  static constexpr uint64_t kMapBytes = kMapPages * kPageSize;
+
+  EvictBatchMixTest() {
+    NvmeController::Options ctrl_options;
+    ctrl_options.capacity_bytes = 2 * kMapBytes;
+    ctrl_ = std::make_unique<NvmeController>(ctrl_options);
+    device_ = std::make_unique<NvmeDevice>(ctrl_.get());
+
+    Aquila::Options options;
+    options.hypervisor.host_memory_bytes = 64ull << 20;
+    options.hypervisor.chunk_size = 1ull << 20;
+    options.cache.capacity_pages = kCachePages;
+    options.cache.max_pages = kCachePages;
+    options.cache.eviction_batch = kCachePages;  // one batch sweeps everything
+    // A small core queue so the batch release spills to the NUMA level.
+    options.cache.freelist.core_queue_threshold = 16;
+    options.cache.freelist.move_batch = 8;
+    options.async_writeback = GetParam();
+    runtime_ = std::make_unique<Aquila>(options);
+  }
+
+  static uint8_t PatternAt(uint64_t offset) { return static_cast<uint8_t>(offset * 131 + 17); }
+
+  void FillDevice(uint64_t bytes) {
+    std::vector<uint8_t> buf(kPageSize);
+    for (uint64_t offset = 0; offset < bytes; offset += kPageSize) {
+      for (uint64_t i = 0; i < kPageSize; i++) {
+        buf[i] = PatternAt(offset + i);
+      }
+      ASSERT_TRUE(device_->Write(ThisVcpu(), offset, std::span<const uint8_t>(buf)).ok());
+    }
+  }
+
+  uint8_t DeviceByte(uint64_t offset) {
+    std::vector<uint8_t> buf(kPageSize);
+    AQUILA_CHECK(device_->Read(ThisVcpu(), offset, std::span(buf)).ok());
+    return buf[0];
+  }
+
+  // Reaps async completions until no frame is in `state` (no-op when sync).
+  void SettleFrames(FrameState state) {
+    PageCache& cache = runtime_->cache();
+    for (int round = 0; round < 1000; round++) {
+      bool busy = false;
+      for (FrameId id = 0; id < kCachePages; id++) {
+        busy |= cache.frame(id).state.load(std::memory_order_acquire) == state;
+      }
+      if (!busy) {
+        return;
+      }
+      runtime_->HarvestAsyncWritebacks(ThisVcpu(), HarvestMode::kWaitOne);
+    }
+    FAIL() << "frames stuck in state " << static_cast<int>(state);
+  }
+
+  std::unique_ptr<NvmeController> ctrl_;
+  std::unique_ptr<NvmeDevice> device_;
+  std::unique_ptr<Aquila> runtime_;
+};
+
+TEST_P(EvictBatchMixTest, EveryFrameEndsFreeOrResidentOnce) {
+  FillDevice(2 * kMapBytes);
+  DeviceBacking data_backing(device_.get(), 0, kMapBytes);
+  DeviceBacking stream_backing(device_.get(), kMapBytes, kMapBytes);
+  StatusOr<MemoryMap*> data = runtime_->Map(&data_backing, kMapBytes, kProtRead | kProtWrite);
+  StatusOr<MemoryMap*> stream = runtime_->Map(&stream_backing, kMapBytes, kProtRead);
+  ASSERT_TRUE(data.ok() && stream.ok());
+  auto* a = static_cast<AquilaMap*>(*data);
+  auto* b = static_cast<AquilaMap*>(*stream);
+  PageCache& cache = runtime_->cache();
+  Vcpu& vcpu = ThisVcpu();
+
+  // Read-ahead victims: a sequential miss maps one page and prefetches its
+  // successors without translations.
+  ASSERT_TRUE(b->Advise(0, kMapBytes, Advice::kSequential).ok());
+  b->TouchRead(0);
+  SettleFrames(FrameState::kFilling);
+  constexpr uint64_t kDirtyFirst = 20;
+  constexpr uint64_t kDirtyEnd = 30;
+  uint64_t next = 0;
+  for (; next < kDirtyFirst; next++) {
+    a->TouchRead(next * kPageSize);
+  }
+  for (; next < kDirtyEnd; next++) {
+    a->TouchWrite(next * kPageSize);  // bumps the page's first byte
+  }
+  while (cache.ApproxFreeFrames() > 0) {
+    ASSERT_LT(next, kMapPages);
+    a->TouchRead(next++ * kPageSize);
+  }
+  ASSERT_EQ(runtime_->fault_stats().evict_batches.load(), 0u);
+
+  // Classify the victims-to-be and remember every key the cache maps.
+  std::vector<uint64_t> keys;
+  int readahead = 0;
+  int dirty = 0;
+  for (FrameId id = 0; id < kCachePages; id++) {
+    const Frame& f = cache.frame(id);
+    ASSERT_EQ(f.state.load(), FrameState::kResident) << "frame " << id;
+    keys.push_back(f.key.load());
+    readahead += f.vaddr.load() == 0;
+    dirty += f.dirty.load() != 0;
+  }
+  ASSERT_GT(readahead, 0);
+  ASSERT_EQ(dirty, static_cast<int>(kDirtyEnd - kDirtyFirst));
+
+  // Entry-locked victims: the batch must hand these back resident.
+  constexpr uint64_t kLocked = 3;
+  for (uint64_t p = 0; p < kLocked; p++) {
+    ASSERT_NE(runtime_->vma_tree().LockEntry(a->vma().start_page + p), nullptr);
+  }
+  const uint64_t trigger = kMapPages - 1;
+  a->TouchRead(trigger * kPageSize);
+  EXPECT_EQ(runtime_->fault_stats().evict_batches.load(), 1u);
+  for (uint64_t p = 0; p < kLocked; p++) {
+    runtime_->vma_tree().UnlockEntry(a->vma().start_page + p);
+  }
+  SettleFrames(FrameState::kWritingBack);
+
+  std::set<FrameId> free_frames;
+  std::set<FrameId> resident_frames;
+  for (FrameId id = 0; id < kCachePages; id++) {
+    FrameState state = cache.frame(id).state.load();
+    if (state == FrameState::kFree) {
+      free_frames.insert(id);
+    } else if (state == FrameState::kResident) {
+      resident_frames.insert(id);
+    } else {
+      ADD_FAILURE() << "frame " << id << " left in state " << static_cast<int>(state);
+    }
+  }
+  // The locked victims and the faulting page; everything else was reclaimed.
+  EXPECT_EQ(resident_frames.size(), kLocked + 1);
+  EXPECT_EQ(cache.ApproxFreeFrames(), free_frames.size());
+
+  // Every PTE and every hash entry names a resident frame of that page.
+  for (AquilaMap* map : {a, b}) {
+    for (uint64_t p = 0; p < kMapPages; p++) {
+      uint64_t vaddr = (map->vma().start_page + p) << kPageShift;
+      uint64_t pte = runtime_->page_table().Lookup(vaddr);
+      if (!Pte::Present(pte)) {
+        continue;
+      }
+      auto frame = static_cast<FrameId>(Pte::Gpa(pte) >> kPageShift);
+      EXPECT_TRUE(resident_frames.count(frame)) << "PTE names freed frame " << frame;
+      EXPECT_EQ(cache.frame(frame).vaddr.load(), vaddr);
+    }
+  }
+  for (uint64_t key : keys) {
+    FrameId frame;
+    if (cache.Lookup(key, &frame)) {
+      EXPECT_TRUE(resident_frames.count(frame)) << "hash entry names freed frame " << frame;
+      EXPECT_EQ(cache.frame(frame).key.load(), key);
+    }
+  }
+  // Dirty victims reached the device before their frames were released.
+  for (uint64_t p = kDirtyFirst; p < kDirtyEnd; p++) {
+    EXPECT_EQ(DeviceByte(p * kPageSize), static_cast<uint8_t>(PatternAt(p * kPageSize) + 1))
+        << "page " << p;
+  }
+  // The freelist holds each free frame exactly once.
+  std::vector<FrameId> drained;
+  ReuseStamp stamp;
+  FrameId frame;
+  while ((frame = cache.AllocFrame(vcpu, vcpu.core(), &stamp)) != kInvalidFrame) {
+    drained.push_back(frame);
+  }
+  EXPECT_EQ(std::set<FrameId>(drained.begin(), drained.end()), free_frames);
+  EXPECT_EQ(drained.size(), free_frames.size());
+  for (FrameId id : drained) {
+    cache.FreeFrame(vcpu.core(), id);
+  }
+  ASSERT_TRUE(runtime_->Unmap(a).ok());
+  ASSERT_TRUE(runtime_->Unmap(b).ok());
+  EXPECT_EQ(cache.ApproxFreeFrames(), kCachePages);
+}
+
+INSTANTIATE_TEST_SUITE_P(Writeback, EvictBatchMixTest, ::testing::Values(false, true),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "Async" : "Sync";
+                         });
 
 }  // namespace
 }  // namespace aquila

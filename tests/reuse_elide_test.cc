@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -134,6 +135,52 @@ TEST_F(ReuseElideTest, SameOwnerReuseElidesExactlyOnce) {
   EXPECT_TRUE(snap.valid);
   EXPECT_EQ(snap.vpn, vpn);
   ExpectNoStaleTranslations(*runtime_);
+  ASSERT_TRUE(runtime_->Unmap(*map).ok());
+}
+
+// One drop over unstamped read-ahead frames followed by deferred mapped
+// pages: the batch frees every frame in one chain, and each deferral's
+// stamp must travel with its own frame, not with an earlier frame of the
+// batch (the read-ahead frames carry no stamp).
+TEST_F(ReuseElideTest, DropBatchStampsLandOnTheirOwnFrames) {
+  MakeRuntime(/*cache_pages=*/256, /*active_cores=*/4);
+  DeviceBacking backing(device_.get(), 0, 4ull << 20);
+  StatusOr<MemoryMap*> map = runtime_->Map(&backing, 4ull << 20, kProtRead);
+  ASSERT_TRUE(map.ok());
+  const uint64_t start_page = static_cast<AquilaMap*>(*map)->vma().start_page;
+  OnCore0([&] {
+    // Page 10 maps and reads pages 11.. ahead without translations.
+    ASSERT_TRUE((*map)->Advise(0, (*map)->length(), Advice::kSequential).ok());
+    (*map)->TouchRead(10 * kPageSize);
+    ASSERT_TRUE((*map)->Advise(0, (*map)->length(), Advice::kRandom).ok());
+    std::map<uint64_t, FrameId> frame_of_vpn;  // the deferred pages
+    for (uint64_t page : {30, 31, 32}) {
+      (*map)->TouchRead(page * kPageSize);
+      uint64_t vpn = start_page + page;
+      uint64_t pte = runtime_->page_table().Lookup(vpn << kPageShift);
+      ASSERT_TRUE(Pte::Present(pte));
+      frame_of_vpn[vpn] = static_cast<FrameId>(Pte::Gpa(pte) >> kPageShift);
+    }
+    ASSERT_TRUE((*map)->Advise(11 * kPageSize, 22 * kPageSize, Advice::kDontNeed).ok());
+    ASSERT_EQ(runtime_->tlb().deferred_pending(), frame_of_vpn.size());
+
+    PageCache& cache = runtime_->cache();
+    std::vector<std::pair<FrameId, ReuseStamp>> drained;
+    ReuseStamp stamp;
+    FrameId frame;
+    while ((frame = cache.AllocFrame(ThisVcpu(), 0, &stamp)) != kInvalidFrame) {
+      drained.emplace_back(frame, stamp);
+    }
+    size_t stamped = 0;
+    for (const auto& [id, got] : drained) {
+      if (got.deferred) {
+        stamped++;
+        EXPECT_EQ(id, frame_of_vpn[got.vpn]) << "stamp for vpn " << got.vpn;
+      }
+      cache.FreeFrame(0, id, got);  // hand deferred stamps back untouched
+    }
+    EXPECT_EQ(stamped, frame_of_vpn.size());
+  });
   ASSERT_TRUE(runtime_->Unmap(*map).ok());
 }
 

@@ -226,6 +226,108 @@ TEST(FreelistStressTest, BatchMigrationNoDoubleHandout) {
   EXPECT_GT(fl.stats().numa_hits.load() + fl.stats().remote_hits.load(), 0u);
 }
 
+// Chain release under contention: threads on distinct cores free whole
+// batches through FreeBatch (core queue to its threshold, the rest as one
+// NUMA chain, or all to NUMA) while others allocate from the same queues.
+// No frame may be handed out twice, every allocation must read back the
+// stamp its last batch free wrote, ApproxFree must never exceed capacity,
+// and at quiescence the count must be exact and every frame allocatable.
+TEST(FreelistStressTest, ChainReleaseKeepsStampsAndExactCount) {
+  constexpr uint32_t kFrames = 2048;
+  constexpr uint64_t kVpnTag = 1ull << 40;
+  const int kThreads = StressThreads();
+  TwoLevelFreelist::Options options;
+  options.core_queue_threshold = 16;  // batches spill to NUMA constantly
+  options.move_batch = 8;
+  TwoLevelFreelist fl(kFrames, options);
+  fl.AddFrames(0, kFrames);
+
+  std::vector<std::atomic<int>> owners(kFrames);
+  for (auto& o : owners) {
+    o.store(0);
+  }
+  std::atomic<bool> stop{false};
+  std::atomic<bool> double_handout{false};
+  std::atomic<bool> approx_overshoot{false};
+  std::atomic<bool> bad_stamp{false};
+
+  std::thread sampler([&] {
+    while (!stop.load(std::memory_order_acquire)) {
+      if (fl.ApproxFree() > kFrames) {
+        approx_overshoot.store(true);
+      }
+      std::this_thread::yield();
+    }
+  });
+
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; t++) {
+    threads.emplace_back([&, t] {
+      const int core = (t + 1) % CoreRegistry::kMaxCores;
+      Rng rng(t * 7 + 3);
+      std::vector<FrameId> batch;
+      std::vector<ReuseStamp> stamps;
+      for (int round = 0; round < 2000; round++) {
+        const size_t want = 1 + rng.Uniform(48);
+        while (batch.size() < want) {
+          ReuseStamp stamp;
+          FrameId f = fl.Alloc(core, &stamp);
+          if (f == kInvalidFrame) {
+            break;  // other threads hold the rest
+          }
+          if (owners[f].fetch_add(1, std::memory_order_acq_rel) != 0) {
+            double_handout.store(true);
+          }
+          // Seeded frames carry no stamp; a batch-freed one carries its own.
+          if (stamp.valid && stamp.vpn != kVpnTag + f) {
+            bad_stamp.store(true);
+          }
+          batch.push_back(f);
+          ReuseStamp own;
+          own.vpn = kVpnTag + f;
+          own.core = core;
+          own.valid = true;
+          stamps.push_back(own);
+        }
+        for (FrameId f : batch) {
+          owners[f].fetch_sub(1, std::memory_order_acq_rel);
+        }
+        // Sometimes stamp only a prefix: the rest must come back unstamped.
+        stamps.resize(rng.OneIn(2) ? stamps.size() : stamps.size() / 2);
+        fl.FreeBatch(core, batch, stamps,
+                     rng.OneIn(4) ? FreeLevel::kNuma : FreeLevel::kCoreFirst);
+        batch.clear();
+        stamps.clear();
+      }
+    });
+  }
+  for (auto& t : threads) {
+    t.join();
+  }
+  stop.store(true, std::memory_order_release);
+  sampler.join();
+
+  EXPECT_FALSE(double_handout.load()) << "a frame was allocated to two owners";
+  EXPECT_FALSE(bad_stamp.load()) << "an allocation read another frame's stamp";
+  EXPECT_FALSE(approx_overshoot.load()) << "ApproxFree exceeded true capacity";
+  EXPECT_EQ(fl.ApproxFree(), kFrames);
+  EXPECT_GT(fl.stats().batch_moves.load(), 0u);
+  // Every frame is reachable: drain from every thread's core (core queues
+  // are only reachable from their own core).
+  std::vector<bool> seen(kFrames, false);
+  uint32_t drained = 0;
+  for (int t = 0; t <= kThreads; t++) {
+    FrameId f;
+    while ((f = fl.Alloc(t % CoreRegistry::kMaxCores)) != kInvalidFrame) {
+      ASSERT_FALSE(seen[f]) << "frame " << f << " queued twice";
+      seen[f] = true;
+      drained++;
+    }
+  }
+  EXPECT_EQ(drained, kFrames);
+  EXPECT_EQ(fl.ApproxFree(), 0u);
+}
+
 // Per-core exhaustion -> NUMA refill -> remote steal: one hoarder empties
 // everything, then threads pinned to cores of the *other* NUMA node free and
 // re-alloc so every level of the hierarchy is crossed.
