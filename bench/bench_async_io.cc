@@ -14,9 +14,12 @@
 // caches.
 //
 // The DeviceQueue sweep at the end drives the unified submission/completion
-// API at queue depths 1/8/32 and writes BENCH_async_pipeline.json
-// (throughput + p99 per depth) as the perf trajectory for future PRs.
-// `--smoke` shrinks the run for CI.
+// API at queue depths 1/8/32, and the readahead_stream leg scans an NVMe
+// mapping under kSequential with default Options, where readahead streams
+// through the mapping's device queue. Both go to BENCH_async_pipeline.json
+// (throughput + p99) as the perf trajectory for future PRs. The stream is
+// gated in-bench at >= 80% of the channel-bound rate (one 4K transfer per
+// channel_cycles_per_4k). `--smoke` shrinks the run for CI.
 #include <cinttypes>
 #include <cstring>
 #include <vector>
@@ -100,6 +103,43 @@ Row RunQueueDepth(uint32_t depth, uint64_t ops, uint64_t data_bytes) {
     }
   }
   return Finish(latency, ops, vcpu.clock().Now() - start, vcpu.clock().Breakdown() - before);
+}
+
+struct StreamRow {
+  double kiops;
+  double device_cycles_per_page;
+  double p99_us;
+};
+
+// One client touches every page of an NVMe mapping in order under
+// kSequential, with default Options: each touch's latency, and the device
+// time the scan paid per page.
+StreamRow RunReadaheadStream(uint64_t data_bytes) {
+  auto device = MakeNvme(data_bytes);
+  auto runtime = MakeAquila(data_bytes);
+  DeviceBacking backing(device->direct, 0, data_bytes);
+  auto map = runtime->Map(&backing, data_bytes, kProtRead);
+  AQUILA_CHECK(map.ok());
+  AQUILA_CHECK((*map)->Advise(0, data_bytes, Advice::kSequential).ok());
+  Vcpu& vcpu = ThisVcpu();
+  Histogram latency;
+  const uint64_t pages = data_bytes / kPageSize;
+  const uint64_t start = vcpu.clock().Now();
+  const CostBreakdown before = vcpu.clock().Breakdown();
+  for (uint64_t p = 0; p < pages; p++) {
+    const uint64_t begin = vcpu.clock().Now();
+    AQUILA_CHECK((*map)->TouchRead(p * kPageSize).ok());
+    latency.Record(vcpu.clock().Now() - begin);
+  }
+  const uint64_t elapsed = vcpu.clock().Now() - start;
+  const CostBreakdown delta = vcpu.clock().Breakdown() - before;
+  AQUILA_CHECK(runtime->Unmap(*map).ok());
+  const double cycles_per_us = GlobalCostModel().cycles_per_us;
+  StreamRow row;
+  row.kiops = static_cast<double>(pages) / (static_cast<double>(elapsed) / cycles_per_us) * 1e3;
+  row.device_cycles_per_page = static_cast<double>(delta[CostCategory::kDeviceIo]) / pages;
+  row.p99_us = static_cast<double>(latency.Percentile(0.99)) / cycles_per_us;
+  return row;
 }
 
 }  // namespace
@@ -242,6 +282,11 @@ int main(int argc, char** argv) {
     sweep.push_back(row);
   }
 
+  PrintHeader("Readahead stream: sequential 4K TouchRead scan of an NVMe mapping");
+  const StreamRow stream = RunReadaheadStream(kDataBytes);
+  std::printf("%-14s %10.1f kIOPS   device %6.0f cyc/page   p99 %7.2f us\n", "readahead",
+              stream.kiops, stream.device_cycles_per_page, stream.p99_us);
+
   BenchJsonWriter json("async_pipeline", smoke, /*threads=*/1);
   json.AddMeta("workload", "\"random 4K reads, NVMe DeviceQueue\"");
   json.AddMeta("ops", std::to_string(kOps));
@@ -255,6 +300,27 @@ int main(int argc, char** argv) {
                   sweep[i].cpu_cycles_per_op);
     json.AddRow(buf);
   }
+  json.BeginSection("readahead_stream");
+  {
+    char buf[256];
+    std::snprintf(buf, sizeof(buf),
+                  "{\"pages\": %" PRIu64 ", \"kiops\": %.1f, \"device_cycles_per_page\": %.0f, "
+                  "\"p99_us\": %.2f}",
+                  kDataBytes / kPageSize, stream.kiops, stream.device_cycles_per_page,
+                  stream.p99_us);
+    json.AddRow(buf);
+  }
   json.Write();
+
+  // Gate: the stream must ride the channel, not each command's latency.
+  const double channel_kiops = GlobalCostModel().cycles_per_us * 1e3 /
+                               NvmeController::Options().channel_cycles_per_4k;
+  if (stream.kiops < 0.8 * channel_kiops) {
+    std::fprintf(stderr, "GATE FAILED: readahead stream %.1f kIOPS below 80%% of %.0f\n",
+                 stream.kiops, channel_kiops);
+    return 1;
+  }
+  std::printf("\ngate: readahead stream >= 80%% of the channel-bound %.0f kIOPS -- PASS\n",
+              channel_kiops);
   return 0;
 }

@@ -146,11 +146,11 @@ inline ShootdownMaskMode ParseShootdownMode(const char* s, ShootdownMaskMode fal
   return fallback;
 }
 
-// Standard Aquila runtime for a given cache size. The async overlapped
-// writeback/readahead pipeline (Options::async_writeback) is off by default,
-// matching the library default; set AQUILA_ASYNC_WRITEBACK=1 to turn it on
-// for any benchmark, and AQUILA_ASYNC_QUEUE_DEPTH=<n> to size the
-// per-mapping device queue (default 32). AQUILA_SHOOTDOWN_MODE
+// Standard Aquila runtime for a given cache size. Asynchronous reclaim
+// writeback (Options::async_writeback) is off by default, matching the
+// library default; set AQUILA_ASYNC_WRITEBACK=1 to turn it on for any
+// benchmark. Readahead runs on the per-mapping device queue either way;
+// AQUILA_ASYNC_QUEUE_DEPTH=<n> sizes that queue (default 32). AQUILA_SHOOTDOWN_MODE
 // (broadcast|mask+gen|reuse) overrides the shootdown IPI targeting
 // policy (default mask+gen, the library default; reuse adds the deferred
 // same-owner elision of DESIGN.md §10). Observability knobs:

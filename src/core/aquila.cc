@@ -332,9 +332,7 @@ StatusOr<MemoryMap*> Aquila::Remap(MemoryMap* map, uint64_t new_length) {
   AQUILA_RETURN_IF_ERROR(vma_tree_.Remove(&old_map->vma_));
   // The old mapping is destroyed below without TearDown (its frames carry
   // over); any writebacks still in flight on its engine must reap first.
-  if (old_map->engine_ != nullptr) {
-    (void)old_map->engine_->Drain(vcpu);
-  }
+  (void)old_map->engine_->Drain(vcpu);
   ShootdownPages(vcpu, old_vpns);
 
   MemoryMap* result = new_map.get();
@@ -389,21 +387,17 @@ void Aquila::WakeParked(uint64_t key, FrameId frame, const Status& status,
 }
 
 size_t Aquila::HarvestAsyncWritebacks(Vcpu& vcpu, HarvestMode mode) {
-  if (!options_.async_writeback) {
-    return 0;
-  }
   // maps_lock_ held across the whole sweep so Unmap cannot destroy a mapping
-  // mid-harvest. Lock order: entry locks -> maps_lock_ -> engine lock.
+  // mid-harvest. Lock order: entry locks -> maps_lock_ -> engine lock. An
+  // idle engine costs one load (Harvest and busy() skip its lock).
   std::lock_guard<SpinLock> guard(maps_lock_);
   size_t freed = 0;
   for (auto& map : maps_) {
-    if (map->engine_ != nullptr) {
-      freed += map->engine_->Harvest(vcpu);
-    }
+    freed += map->engine_->Harvest(vcpu);
   }
   if (freed == 0 && mode == HarvestMode::kWaitOne) {
     for (auto& map : maps_) {
-      if (map->engine_ != nullptr && map->engine_->in_flight() > 0) {
+      if (map->engine_->busy()) {
         freed += map->engine_->WaitOne(vcpu);
         break;
       }

@@ -118,15 +118,16 @@ class Aquila : public MmioEngine {
     // budget) before a mapping degrades to read-only. Mirrors how the
     // kernel remounts a filesystem read-only after repeated EIO.
     uint32_t writeback_failure_limit = 3;
-    // Asynchronous overlapped writeback/readahead: eviction submits its
-    // offset-sorted dirty batch on the backing device's queue and continues
-    // fault handling while the device works; dirty frames sit in
-    // kWritingBack until their completions reap on the fault path. Devices
-    // without queueing fall back to a synchronous-emulation shim (same
-    // semantics, no overlap). Off by default: writeback completes
-    // synchronously exactly as before.
+    // Asynchronous overlapped reclaim writeback: eviction and
+    // madvise(DONTNEED) submit their offset-sorted dirty batch on the
+    // mapping's device queue and continue fault handling while the device
+    // works; dirty frames sit in kWritingBack until their completions reap on
+    // the fault path. Off by default: reclaim writes back synchronously.
+    // Every mapping has a queue engine either way — readahead always runs
+    // through it — and devices without queueing get a synchronous-emulation
+    // shim (same semantics, no overlap).
     bool async_writeback = false;
-    // Per-mapping device queue depth for the async engine.
+    // Per-mapping device queue depth for the queue engine.
     uint32_t async_queue_depth = 32;
     // Completion watchdog for async device ops (sim-clock driven). 0
     // (default) keeps the raw device queue — no watchdog state on the hot

@@ -1,7 +1,9 @@
 #include "src/core/mmio_region.h"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "src/core/trap_driver.h"
@@ -45,10 +47,8 @@ AquilaMap::AquilaMap(Aquila* runtime, Backing* backing, uint64_t length, int pro
   vma_.prot = prot;
   vma_.mapping_id = runtime_->next_mapping_id_.fetch_add(1, std::memory_order_relaxed);
   vma_.backing = this;
-  if (runtime_->options().async_writeback) {
-    engine_ = std::make_unique<AsyncWritebackEngine>(runtime_, this,
-                                                     runtime_->options().async_queue_depth);
-  }
+  engine_ = std::make_unique<AsyncWritebackEngine>(runtime_, this,
+                                                   runtime_->options().async_queue_depth);
 }
 
 Status AquilaMap::Install() {
@@ -76,9 +76,7 @@ Status AquilaMap::TearDown() {
   // Reap every async writeback/fill still in flight: completions free their
   // frames or restore failures dirty-in-place, where the sweep below
   // re-collects them for the final synchronous pass.
-  if (engine_ != nullptr) {
-    (void)engine_->Drain(vcpu);
-  }
+  (void)engine_->Drain(vcpu);
 
   // Huge spans split back to 4K first: the sweep below removes PTEs page by
   // page, and Remove() on a vaddr covered by a 2 MB leaf no-ops — it would
@@ -103,7 +101,7 @@ Status AquilaMap::TearDown() {
     while (!f.state.compare_exchange_weak(expected, FrameState::kEvicting,
                                           std::memory_order_acq_rel)) {
       if (expected != FrameState::kResident) {
-        if (engine_ != nullptr && expected == FrameState::kWritingBack) {
+        if (expected == FrameState::kWritingBack) {
           // A concurrent evictor submitted this page between our drain and
           // the claim; reap until its completion resolves the frame.
           (void)engine_->WaitOne(vcpu);
@@ -357,63 +355,46 @@ StatusOr<FrameId> AquilaMap::HandleFault(Vcpu& vcpu, uint64_t vaddr, bool write,
   {
     SpinBackoff backoff;
     while (true) {
-      bool found;
-      {
+      // A fill for this page may be in flight — invisible until its
+      // completion publishes it into the hash. HasPendingFill says so without
+      // the engine lock (and one load when the mapping has no fills), so only
+      // a page whose fill is in flight takes the lock. The engine is asked
+      // before the hash: a sequential stream's page is usually still in
+      // flight, and AwaitFill hands back the frame it publishes, sparing the
+      // lookup.
+      bool found = false;
+      if (engine_->HasPendingFill(key)) {
+        if (coop != nullptr && coop->sched != nullptr) {
+          // Park point (a): someone else's fill is in flight for this page.
+          // Reserve the parked-table entry FIRST, then re-check — a
+          // completion that raced the reservation is visible to the re-check
+          // (see HasPendingFill) and we cancel instead of sleeping on a wake
+          // that already happened.
+          uint64_t token = coop->sched->PrePark(key, kInvalidFrame);
+          if (token != 0) {
+            if (engine_->HasPendingFill(key)) {
+              telemetry::ChildSpan park_span(vcpu.clock(), telemetry::SpanPhase::kPark, vaddr);
+              coop->sched->CommitPark(token);
+              coop->token = token;
+              coop->parked = true;
+              return kInvalidFrame;
+            }
+            coop->sched->CancelPark(token);
+            continue;  // published (or failed) already; re-run the lookup
+          }
+          // Parked table full: fall through to the blocking wait.
+        }
+        telemetry::ChildSpan wait_span(vcpu.clock(), telemetry::SpanPhase::kQueueWait);
+        frame = engine_->AwaitFill(vcpu, key);
+        found = frame != kInvalidFrame;
+      }
+      if (!found) {
+        // No fill for this page in flight: the hash is authoritative.
         telemetry::ChildSpan lookup_span(vcpu.clock(), telemetry::SpanPhase::kCacheLookup);
         ScopedMeasure measure(vcpu.clock(), CostCategory::kCacheMgmt);
         found = cache.Lookup(key, &frame);
       }
       if (!found) {
-        if (engine_ != nullptr) {
-          // An async read-ahead fill for this page may be in flight —
-          // invisible until its completion publishes it into the hash. Wait
-          // it out instead of issuing a duplicate device read, then re-check:
-          // the fill may also have been published by a concurrent harvester
-          // between our lookup and the engine lock.
-          if (coop != nullptr && coop->sched != nullptr &&
-              engine_->HasPendingFill(key)) {
-            // Park point (a): someone else's fill is in flight for this page.
-            // Reserve the parked-table entry FIRST, then re-check — the
-            // completion's Wake runs under the engine lock we re-take in
-            // HasPendingFill, so a completion that raced the reservation is
-            // visible to the re-check and we cancel instead of sleeping on a
-            // wake that already happened.
-            uint64_t token = coop->sched->PrePark(key, kInvalidFrame);
-            if (token != 0) {
-              if (engine_->HasPendingFill(key)) {
-                telemetry::ChildSpan park_span(vcpu.clock(),
-                                               telemetry::SpanPhase::kPark, vaddr);
-                coop->sched->CommitPark(token);
-                coop->token = token;
-                coop->parked = true;
-                return kInvalidFrame;
-              }
-              coop->sched->CancelPark(token);
-              continue;  // published (or failed) already; re-run the lookup
-            }
-            // Parked table full: fall through to the blocking wait.
-          }
-          bool drained;
-          {
-            telemetry::ChildSpan wait_span(vcpu.clock(), telemetry::SpanPhase::kQueueWait);
-            drained = engine_->AwaitFill(vcpu, key);
-          }
-          bool hit;
-          {
-            telemetry::ChildSpan lookup_span(vcpu.clock(), telemetry::SpanPhase::kCacheLookup);
-            ScopedMeasure measure(vcpu.clock(), CostCategory::kCacheMgmt);
-            hit = cache.Lookup(key, &frame);
-          }
-          if (hit) {
-            if (drained && advice_.load(std::memory_order_relaxed) == Advice::kSequential) {
-              // Landing on a page we had to wait for means the stream caught
-              // up with the prefetcher: re-arm the window now (the minor-
-              // fault path below won't), like the kernel's readahead marker.
-              (void)ReadAhead(vcpu, file_page);
-            }
-            continue;
-          }
-        }
         break;
       }
       Frame& f = cache.frame(frame);
@@ -435,27 +416,32 @@ StatusOr<FrameId> AquilaMap::HandleFault(Vcpu& vcpu, uint64_t vaddr, bool write,
         // file page): execute that deferral before the translation goes
         // live. One relaxed load when the deferred table is empty.
         runtime_->ResolveDeferredForVpn(vcpu, page, frame);
-        telemetry::ChildSpan install_span(vcpu.clock(), telemetry::SpanPhase::kFillCopy, vaddr);
-        ScopedMeasure measure(vcpu.clock(), CostCategory::kCacheMgmt);
-        f.vaddr.store(vaddr, std::memory_order_relaxed);
-        uint64_t flags =
-            write ? (Pte::kWritable | Pte::kDirty | Pte::kAccessed) : Pte::kAccessed;
-        AQUILA_CHECK(runtime_->page_table().Install(
-            vaddr, static_cast<uint64_t>(frame) << kPageShift, flags));
-        NotePteInstalled(file_page);
-        if (write && f.dirty.load(std::memory_order_relaxed) == 0) {
-          cache.MarkDirty(vcpu.core(), frame, SortKey(file_page * kPageSize));
+        {
+          telemetry::ChildSpan install_span(vcpu.clock(), telemetry::SpanPhase::kFillCopy, vaddr);
+          ScopedMeasure measure(vcpu.clock(), CostCategory::kCacheMgmt);
+          f.vaddr.store(vaddr, std::memory_order_relaxed);
+          uint64_t flags =
+              write ? (Pte::kWritable | Pte::kDirty | Pte::kAccessed) : Pte::kAccessed;
+          AQUILA_CHECK(runtime_->page_table().Install(
+              vaddr, static_cast<uint64_t>(frame) << kPageShift, flags));
+          NotePteInstalled(file_page);
+          if (write && f.dirty.load(std::memory_order_relaxed) == 0) {
+            cache.MarkDirty(vcpu.core(), frame, SortKey(file_page * kPageSize));
+          }
+          if (transparent_base_ != nullptr) {
+            TrapDriver::InstallRealMapping(runtime_, vaddr, f.gpa, write);
+          }
+          f.state.store(FrameState::kResident, std::memory_order_release);
         }
-        if (transparent_base_ != nullptr) {
-          TrapDriver::InstallRealMapping(runtime_, vaddr, f.gpa, write);
-        }
-        f.state.store(FrameState::kResident, std::memory_order_release);
         runtime_->fault_stats().minor_faults.fetch_add(1, std::memory_order_relaxed);
+        if (advice_.load(std::memory_order_relaxed) == Advice::kSequential) {
+          MaybeRearmReadAhead(vcpu, file_page);
+        }
         AQUILA_TELEMETRY_ONLY(
             telemetry::RecordSpanSince(GetFaultMetrics().fault_minor, vcpu.clock(), fault_start));
         return frame;
       }
-      if (engine_ != nullptr && expected == FrameState::kWritingBack) {
+      if (expected == FrameState::kWritingBack) {
         if (coop != nullptr && coop->sched != nullptr) {
           // Park point (b): an async writeback owns this frame; its
           // completion Wakes every parked entry for the key (non-terminal).
@@ -529,7 +515,7 @@ StatusOr<FrameId> AquilaMap::HandleFault(Vcpu& vcpu, uint64_t vaddr, bool write,
   // failure backstop below a single call. A cooperative demand fill forgoes
   // elision: its fill completes in CompleteLocked, where the failure
   // backstop below cannot run (same reason read-ahead fills never elide).
-  const bool coop_fill = coop != nullptr && coop->sched != nullptr && engine_ != nullptr;
+  const bool coop_fill = coop != nullptr && coop->sched != nullptr;
   const bool elided = runtime_->ResolveReuseStamp(vcpu, stamp, frame, page,
                                                   vma_.mapping_id,
                                                   /*allow_elide=*/!coop_fill);
@@ -546,8 +532,9 @@ StatusOr<FrameId> AquilaMap::HandleFault(Vcpu& vcpu, uint64_t vaddr, bool write,
       Frame& f = pc.frame(frame);
       f.key.store(key, std::memory_order_relaxed);
       f.vaddr.store(0, std::memory_order_relaxed);
-      Status submit =
-          engine_->SubmitFill(vcpu, frame, key, file_page * kPageSize, /*demand=*/true);
+      const FillRequest demand_fill{frame, key, file_page * kPageSize, /*demand=*/true};
+      size_t submitted;
+      Status submit = engine_->SubmitFills(vcpu, std::span(&demand_fill, 1), &submitted);
       if (submit.ok()) {
         telemetry::ChildSpan park_span(vcpu.clock(), telemetry::SpanPhase::kPark, vaddr);
         coop->sched->CommitPark(token);
@@ -632,29 +619,39 @@ Status AquilaMap::FillAndPublish(Vcpu& vcpu, FrameId frame, uint64_t vaddr, uint
   return Status::Ok();
 }
 
+void AquilaMap::MaybeRearmReadAhead(Vcpu& vcpu, uint64_t file_page) {
+  // The readahead marker: the stream's lead is how far the submitted window
+  // (this core's mark) runs past this page. Re-arm once it has fallen by a
+  // quarter of the window, so the next stretch goes out under one engine lock
+  // while enough stays in flight to cover the device latency. A mark more
+  // than a window ahead is a re-read of ground already covered; the fault
+  // that misses there restarts the stream.
+  const uint64_t window = runtime_->options().readahead_pages;
+  const uint64_t mark = ReadaheadMark(vcpu).load(std::memory_order_relaxed);
+  if (mark + std::max<uint64_t>(window / 4, 1) <= file_page + 1 + window) {
+    (void)ReadAhead(vcpu, file_page);
+  }
+}
+
 Status AquilaMap::ReadAhead(Vcpu& vcpu, uint64_t file_page) {
   // A degraded/failed device sheds speculative prefetch first: demand reads
   // keep their queue slots and the sick medium sees less traffic.
-  if (!backing_->device()->health().allows_readahead()) {
+  if (!std::as_const(*backing_->device()).health().allows_readahead()) {
     return Status::Ok();
   }
   telemetry::ChildSpan readahead_span(vcpu.clock(), telemetry::SpanPhase::kReadahead, file_page);
   PageCache& cache = runtime_->cache();
-  uint32_t window = runtime_->options().readahead_pages;
-  std::vector<uint64_t> offsets;
-  std::vector<uint8_t*> buffers;
-  std::vector<FrameId> frames;
-  std::vector<uint64_t> pages;
+  const uint32_t window = runtime_->options().readahead_pages;
 
   uint64_t first = file_page + 1;
   const uint64_t last = file_page + window;
-  const bool track_stream =
-      engine_ != nullptr && advice_.load(std::memory_order_relaxed) == Advice::kSequential;
+  const bool track_stream = advice_.load(std::memory_order_relaxed) == Advice::kSequential;
+  std::atomic<uint64_t>& stream_mark = ReadaheadMark(vcpu);
   if (track_stream) {
-    // Async fills are invisible to the hash until published; start past the
+    // Fills are invisible to the hash until published; start past the
     // high-water mark so a re-armed window extends the stream instead of
     // resubmitting fills still in flight.
-    uint64_t mark = next_readahead_.load(std::memory_order_relaxed);
+    const uint64_t mark = stream_mark.load(std::memory_order_relaxed);
     if (first + window < mark) {
       // Faulting more than a window below the mark means a new stream over
       // ground already covered (e.g. a second scan of the file): retreat the
@@ -662,7 +659,7 @@ Status AquilaMap::ReadAhead(Vcpu& vcpu, uint64_t file_page) {
       // disable readahead at every offset below a previous scan's end. A
       // duplicate fill racing a straggler from the old stream is benign —
       // the losing completion is discarded at publication.
-      next_readahead_.compare_exchange_strong(mark, first, std::memory_order_relaxed);
+      stream_mark.store(first, std::memory_order_relaxed);
     } else {
       first = std::max(first, mark);
       if (first > last) {
@@ -670,8 +667,32 @@ Status AquilaMap::ReadAhead(Vcpu& vcpu, uint64_t file_page) {
       }
     }
   }
+  // Each fill is prepared under its page's entry lock and the stretch is
+  // submitted under one engine lock; the entry locks drop after submission.
+  // The frames stay kFilling — invisible to evictors and to Lookup — until
+  // their completions publish them. The fault that wants a page either finds
+  // it published (minor fault) or waits out its fill (AwaitFill) rather than
+  // duplicating the read; submitting under the entry lock is what makes that
+  // handshake race-free.
+  constexpr size_t kStretch = 16;
+  std::array<FillRequest, kStretch> fills;
+  std::array<uint64_t, kStretch> locked;
+  size_t n = 0;
+  Status status;
+  auto submit = [&] {
+    size_t submitted = 0;
+    Status s = engine_->SubmitFills(vcpu, std::span(fills.data(), n), &submitted);
+    for (size_t i = submitted; i < n; i++) {
+      cache.FreeFrame(vcpu.core(), fills[i].frame);
+    }
+    for (size_t i = 0; i < n; i++) {
+      UnlockPage(locked[i]);
+    }
+    n = 0;
+    return s;
+  };
   uint64_t advance_to = last + 1;
-  for (uint64_t next_file_page = first; next_file_page <= last; next_file_page++) {
+  for (uint64_t next_file_page = first; next_file_page <= last && status.ok(); next_file_page++) {
     if (next_file_page >= vma_.page_count ||
         (next_file_page + 1) * kPageSize > backing_->size_bytes()) {
       break;
@@ -682,8 +703,11 @@ Status AquilaMap::ReadAhead(Vcpu& vcpu, uint64_t file_page) {
       continue;
     }
     uint64_t key = MakeKey(vma_.mapping_id, next_file_page);
+    // Under the entry lock both checks are authoritative: a page with a fill
+    // in flight (another core's stream, whose mark this core does not see)
+    // or already in the hash is never read twice.
     FrameId existing;
-    if (cache.Lookup(key, &existing)) {
+    if (engine_->HasPendingFill(key) || cache.Lookup(key, &existing)) {
       UnlockPage(page);
       continue;
     }
@@ -705,51 +729,17 @@ Status AquilaMap::ReadAhead(Vcpu& vcpu, uint64_t file_page) {
     // No translation yet: the actual access takes a minor fault. vaddr == 0
     // is also what marks the frame evictable without the entry lock.
     f.vaddr.store(0, std::memory_order_relaxed);
-    if (engine_ != nullptr) {
-      // Async fill: the frame stays kFilling — invisible to evictors and to
-      // Lookup — until its completion publishes it into the hash. The fault
-      // that wanted the page either finds it published (minor fault) or
-      // waits out the in-flight fill (AwaitFill) rather than duplicating the
-      // read. Submitting under the page's entry lock is what makes that
-      // handshake race-free.
-      Status status = engine_->SubmitFill(vcpu, frame, key, next_file_page * kPageSize);
-      UnlockPage(page);
-      if (!status.ok()) {
-        cache.FreeFrame(vcpu.core(), frame);
-        return status;
-      }
-      continue;
-    }
-    offsets.push_back(next_file_page * kPageSize);
-    buffers.push_back(cache.FrameData(vcpu, frame));
-    frames.push_back(frame);
-    pages.push_back(page);
-  }
-  if (track_stream) {
-    uint64_t seen = next_readahead_.load(std::memory_order_relaxed);
-    while (seen < advance_to &&
-           !next_readahead_.compare_exchange_weak(seen, advance_to,
-                                                  std::memory_order_relaxed)) {
+    fills[n] = FillRequest{frame, key, next_file_page * kPageSize, /*demand=*/false};
+    locked[n] = page;
+    if (++n == kStretch) {
+      status = submit();
     }
   }
-  if (frames.empty()) {
-    return Status::Ok();
+  if (n > 0) {
+    status = submit();
   }
-
-  Status status = backing_->ReadPages(vcpu, offsets, buffers, kPageSize);
-  for (size_t i = 0; i < frames.size(); i++) {
-    Frame& f = cache.frame(frames[i]);
-    if (status.ok()) {
-      AQUILA_CHECK(cache.InsertMapping(f.key.load(std::memory_order_relaxed), frames[i]));
-      f.state.store(FrameState::kResident, std::memory_order_release);
-    } else {
-      cache.FreeFrame(vcpu.core(), frames[i]);
-    }
-    UnlockPage(pages[i]);
-  }
-  if (status.ok()) {
-    runtime_->fault_stats().readahead_pages.fetch_add(frames.size(),
-                                                      std::memory_order_relaxed);
+  if (track_stream && status.ok() && stream_mark.load(std::memory_order_relaxed) < advance_to) {
+    stream_mark.store(advance_to, std::memory_order_relaxed);
   }
   return status;
 }
@@ -1069,7 +1059,7 @@ void AquilaMap::CoopStep(Vcpu& vcpu, CoreScheduler* sched, CoreScheduler::Task* 
 
 Status AquilaMap::SubmitBatch(std::span<const MmioRequest> requests) {
   SchedRegistry* registry = runtime_->sched();
-  if (registry == nullptr || engine_ == nullptr) {
+  if (registry == nullptr) {
     return MemoryMap::SubmitBatch(requests);  // synchronous fallback
   }
   CoreScheduler* sched = registry->ForCore(ThisVcpu().core());
@@ -1081,7 +1071,7 @@ Status AquilaMap::SubmitBatch(std::span<const MmioRequest> requests) {
 
 size_t AquilaMap::Poll(std::span<MmioCompletion> out) {
   SchedRegistry* registry = runtime_->sched();
-  if (registry == nullptr || engine_ == nullptr) {
+  if (registry == nullptr) {
     return MemoryMap::Poll(out);
   }
   if (out.empty()) {
@@ -1124,7 +1114,7 @@ Status AquilaMap::Sync(uint64_t offset, uint64_t length) {
   // every in-flight writeback of this mapping. Failures restore their pages
   // dirty, the collection below re-claims them, and the synchronous pass
   // surfaces the EIO.
-  if (engine_ != nullptr) {
+  if (engine_->busy()) {
     telemetry::ChildSpan drain_span(vcpu.clock(), telemetry::SpanPhase::kQueueWait);
     (void)engine_->Drain(vcpu);
   }
@@ -1230,7 +1220,7 @@ Status AquilaMap::Sync(uint64_t offset, uint64_t length) {
     telemetry::ChildSpan wait_span(vcpu.clock(), telemetry::SpanPhase::kQueueWait);
     return engine_->AwaitWritebacks(vcpu, first_page, last_page);
   };
-  while (engine_ != nullptr && await_in_range()) {
+  while (await_in_range()) {
     telemetry::ChildSpan collect_span(vcpu.clock(), telemetry::SpanPhase::kDirtyTrack);
     collect_and_claim();
   }
@@ -1286,7 +1276,9 @@ Status AquilaMap::Advise(uint64_t offset, uint64_t length, Advice advice) {
       if (advice == Advice::kSequential) {
         // A fresh kSequential hint starts a new stream: re-open the
         // readahead window wherever the next fault lands.
-        next_readahead_.store(0, std::memory_order_relaxed);
+        for (std::atomic<uint64_t>& mark : next_readahead_) {
+          mark.store(0, std::memory_order_relaxed);
+        }
       }
       return Status::Ok();
     case Advice::kWillNeed: {
@@ -1414,10 +1406,9 @@ void AquilaMap::FaultAround(Vcpu& vcpu, uint64_t file_page) {
   runtime_->huge_stats().fault_around_mapped.fetch_add(mapped, std::memory_order_relaxed);
   // Fault-around consumed these pages: advance the readahead high-water mark
   // past them so the windowed prefetcher does not resubmit their fills.
-  uint64_t target = highest + 1;
-  uint64_t seen = next_readahead_.load(std::memory_order_relaxed);
-  while (seen < target &&
-         !next_readahead_.compare_exchange_weak(seen, target, std::memory_order_relaxed)) {
+  std::atomic<uint64_t>& mark = ReadaheadMark(vcpu);
+  if (mark.load(std::memory_order_relaxed) < highest + 1) {
+    mark.store(highest + 1, std::memory_order_relaxed);
   }
 }
 
@@ -1491,26 +1482,19 @@ bool AquilaMap::TryPromote(Vcpu& vcpu, uint64_t span) {
   }
 
   // (2) Claim every resident page of the span; abort on anything in flight
-  // (pending fill, writeback, eviction) or dirty — the 2 MB leaf is
-  // read-only, so promoting over a dirty 4K page would lose its dirtiness.
+  // (writeback, eviction) or dirty — the 2 MB leaf is read-only, so
+  // promoting over a dirty 4K page would lose its dirtiness. A readahead
+  // fill in flight would publish into our hash slot mid-promotion; with
+  // every entry lock of the span held no new one can start, so wait out the
+  // ones in flight (outside the measured scope) and claim what they publish.
   if (ok) {
+    engine_->AwaitFills(vcpu, MakeKey(vma_.mapping_id, base_fp),
+                        MakeKey(vma_.mapping_id, base_fp + kSpanPages - 1));
     ScopedMeasure measure(vcpu.clock(), CostCategory::kCacheMgmt);
     for (uint64_t i = 0; i < kSpanPages; i++) {
       uint64_t key = MakeKey(vma_.mapping_id, base_fp + i);
       FrameId frame;
-      bool hit = cache.Lookup(key, &frame);
-      if (!hit && engine_ != nullptr) {
-        if (engine_->HasPendingFill(key)) {
-          // An in-flight readahead fill would publish into our hash slot
-          // mid-promotion. Its completion publishes under the engine lock
-          // HasPendingFill just took, so the re-check below cannot miss a
-          // fill that completed before the verdict.
-          ok = false;
-          break;
-        }
-        hit = cache.Lookup(key, &frame);
-      }
-      if (!hit) {
+      if (!cache.Lookup(key, &frame)) {
         continue;  // not resident; the run fill below reads it from the device
       }
       Frame& f = cache.frame(frame);

@@ -14,6 +14,7 @@
 #ifndef AQUILA_SRC_CORE_MMIO_REGION_H_
 #define AQUILA_SRC_CORE_MMIO_REGION_H_
 
+#include <array>
 #include <atomic>
 #include <memory>
 #include <vector>
@@ -165,9 +166,16 @@ class AquilaMap : public MemoryMap {
   // when not yet woken), runs the access, and either completes the task or
   // parks it again. Called by CoreScheduler::RunReady on the owning core.
   void CoopStep(Vcpu& vcpu, CoreScheduler* sched, CoreScheduler::Task* task);
-  // Installs readahead pages following `file_page` (best effort: callers may
-  // ignore the status — it reports the first fill that could not be issued).
+  // Submits asynchronous fills for the readahead window following
+  // `file_page` (best effort: callers may ignore the status — it reports the
+  // first fill that could not be issued). A kSequential stream starts past
+  // its core's mark (ReadaheadMark), so only the part of the window not yet
+  // in flight goes out.
   Status ReadAhead(Vcpu& vcpu, uint64_t file_page);
+  // The readahead marker for a kSequential stream that consumed `file_page`
+  // without a device read: re-arms the window (ReadAhead) once the stream's
+  // lead over the pages in flight has fallen by a quarter of the window.
+  void MaybeRearmReadAhead(Vcpu& vcpu, uint64_t file_page);
   // Batched eviction. Returns frames freed now — async mode frees dirty
   // victims later, when their completions reap. Writeback failures (sync
   // I/O errors and async submission rejections alike) are charged to the
@@ -209,14 +217,15 @@ class AquilaMap : public MemoryMap {
   // and false on the async path (which keeps it for waiting faulters).
   void RestoreDirtyFrame(Vcpu& vcpu, FrameId frame, uint64_t sort_key, bool reinsert_mapping);
 
-  // The async pipeline, present iff Options::async_writeback.
+  // The mapping's device-queue engine: every readahead fill, and reclaim
+  // writeback when Options::async_writeback is set.
   AsyncWritebackEngine* writeback_engine() { return engine_.get(); }
 
   // Maps up to Options::fault_around_pages already-resident forward
   // neighbors of a just-faulted page under their entry locks (read-only, so
-  // no shootdown is needed) — the cheap tier below promotion. Advances
-  // next_readahead_ past what it mapped so the readahead engine does not
-  // resubmit fills for those pages.
+  // no shootdown is needed) — the cheap tier below promotion. Advances the
+  // core's readahead mark past what it mapped so the readahead engine does
+  // not resubmit fills for those pages.
   void FaultAround(Vcpu& vcpu, uint64_t file_page);
   // True when `span` is full-size, still 4K, and dense enough to promote.
   bool PromotionEligible(uint64_t span) const;
@@ -244,11 +253,14 @@ class AquilaMap : public MemoryMap {
   uint8_t* transparent_base_ = nullptr;  // set for trap-mode mappings
   std::atomic<uint32_t> writeback_failures_{0};
   std::atomic<bool> degraded_{false};
-  std::unique_ptr<AsyncWritebackEngine> engine_;  // iff Options::async_writeback
-  // High-water mark of async-prefetched file pages (sequential streams): an
-  // in-flight fill is invisible to the cache hash, so without it a re-armed
-  // window would resubmit every fill still in the queue.
-  std::atomic<uint64_t> next_readahead_{0};
+  std::unique_ptr<AsyncWritebackEngine> engine_;  // never null
+  // High-water mark of prefetched file pages, one per core, since each
+  // thread scanning the mapping is its own sequential stream: an in-flight
+  // fill is invisible to the cache hash, so without the mark a re-armed
+  // window would resubmit every fill still in the queue, and a mark shared
+  // by streams in different places would keep retreating.
+  std::array<std::atomic<uint64_t>, CoreRegistry::kMaxCores> next_readahead_{};
+  std::atomic<uint64_t>& ReadaheadMark(const Vcpu& vcpu) { return next_readahead_[vcpu.core()]; }
   // One tracker per 2 MB-aligned span of the mapping; allocated by Install()
   // iff Options::huge_pages and the mapping is soft-mode. Null means every
   // huge-page branch in the hot paths collapses to one predictable test.

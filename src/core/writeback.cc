@@ -14,19 +14,13 @@ namespace aquila {
 namespace {
 
 #if AQUILA_TELEMETRY_ENABLED
-struct AsyncMetrics {
-  // Cycles of device time that elapsed while the CPU was doing other work —
-  // the overlap the async pipeline buys over synchronous writeback.
-  telemetry::Counter* overlap_cycles =
+// Cycles of device time that elapsed while the CPU was doing other work —
+// the overlap the queue engine buys over blocking I/O. Every engine adds to
+// this one shared line, so each batches its share (FlushOverlapLocked).
+telemetry::Counter* OverlapCycles() {
+  static telemetry::Counter* counter =
       telemetry::Registry().GetCounter("aquila.core.async_overlap_cycles");
-  telemetry::Counter* writebacks =
-      telemetry::Registry().GetCounter("aquila.core.async_writebacks");
-  telemetry::Counter* fills = telemetry::Registry().GetCounter("aquila.core.async_fills");
-};
-
-const AsyncMetrics& GetAsyncMetrics() {
-  static AsyncMetrics metrics;
-  return metrics;
+  return counter;
 }
 #endif
 
@@ -72,7 +66,7 @@ void WritebackPlanner::AddReclaim(const WritebackItem& item) {
   AquilaMap* owner = item.owner;
   PageCache& cache = owner->runtime_->cache();
   Frame& f = cache.frame(item.frame);
-  if (owner->writeback_engine() != nullptr) {
+  if (owner->runtime_->options().async_writeback) {
     f.state.store(FrameState::kWritingBack, std::memory_order_release);
     owner->UnlockPage(owner->vma_.start_page + (item.file_offset >> kPageShift));
   } else {
@@ -84,7 +78,7 @@ Status WritebackPlanner::SubmitReclaim(Vcpu& vcpu, std::vector<FrameId>* to_free
   if (items_.empty()) {
     return Status::Ok();
   }
-  if (items_.front().owner->writeback_engine() != nullptr) {
+  if (items_.front().owner->runtime_->options().async_writeback) {
     return SubmitAsync(vcpu);
   }
   Sort(vcpu);
@@ -122,9 +116,7 @@ Status WritebackPlanner::SubmitAsync(Vcpu& vcpu) {
   Sort(vcpu);
   Status first_error;
   for (const WritebackItem& item : items_) {
-    AsyncWritebackEngine* engine = item.owner->writeback_engine();
-    AQUILA_DCHECK(engine != nullptr);
-    Status status = engine->SubmitWriteback(vcpu, item);
+    Status status = item.owner->writeback_engine()->SubmitWriteback(vcpu, item);
     if (!status.ok()) {
       // The submission machinery itself rejected the request (I/O errors
       // arrive in completions, not here). The page's data never left the
@@ -175,8 +167,15 @@ std::unique_ptr<DeviceQueue> MakeEngineQueue(Aquila* runtime, AquilaMap* map, ui
 AsyncWritebackEngine::AsyncWritebackEngine(Aquila* runtime, AquilaMap* map, uint32_t depth)
     : runtime_(runtime),
       map_(map),
+      watchdog_(runtime->options().device_op_timeout_us != 0),
       queue_(MakeEngineQueue(runtime, map, depth)),
-      slots_(queue_->depth()) {}
+      slots_(queue_->depth()),
+      fill_keys_(std::make_unique<std::atomic<uint64_t>[]>(slots_.size())) {
+  free_slots_.reserve(slots_.size());
+  for (uint32_t i = static_cast<uint32_t>(slots_.size()); i > 0; i--) {
+    free_slots_.push_back(i - 1);
+  }
+}
 
 AsyncWritebackEngine::~AsyncWritebackEngine() {
   // TearDown drains before destruction; anything still in flight here would
@@ -190,9 +189,8 @@ Status AsyncWritebackEngine::SubmitWriteback(Vcpu& vcpu, const WritebackItem& it
   Slot& slot = slots_[index];
   // The frame is ours (kWritingBack): its key is stable until completion.
   uint64_t key = runtime_->cache().frame(item.frame).key.load(std::memory_order_relaxed);
-  slot = Slot{Slot::Kind::kWriteback, /*demand=*/false, item.frame, key, item.sort_key,
-              item.file_offset, telemetry::CurrentSpanContext()};
-  AQUILA_TELEMETRY_ONLY(GetAsyncMetrics().writebacks->Add());
+  slot = Slot{Slot::Kind::kWriteback, /*demand=*/false, /*published=*/false, item.frame, key,
+              item.sort_key, item.file_offset, telemetry::CurrentSpanContext()};
   StatusOr<uint64_t> dev_offset = map_->backing_->TranslateForQueue(item.file_offset);
   if (dev_offset.ok()) {
     Status status =
@@ -211,77 +209,144 @@ Status AsyncWritebackEngine::SubmitWriteback(Vcpu& vcpu, const WritebackItem& it
     const uint64_t now = vcpu.clock().Now();
     local_.push_back(DeviceQueue::Completion{index, std::move(status), now, now});
   }
-  // The request is committed (queued or buffered in local_): its originating
-  // trace must stay open until CompleteLocked records the device child span.
-  telemetry::SpanCollector::Global().NoteAsyncSubmitted(slot.span.trace_id);
+  CommitSlotLocked(index);
   return Status::Ok();
 }
 
-Status AsyncWritebackEngine::SubmitFill(Vcpu& vcpu, FrameId frame, uint64_t key,
-                                        uint64_t file_offset, bool demand) {
+Status AsyncWritebackEngine::SubmitFills(Vcpu& vcpu, std::span<const FillRequest> fills,
+                                         size_t* submitted) {
+  *submitted = 0;
+  PageCache& cache = runtime_->cache();
   std::lock_guard<SpinLock> guard(lock_);
-  uint32_t index = ClaimSlotLocked(vcpu);
-  Slot& slot = slots_[index];
-  slot = Slot{Slot::Kind::kFill, demand, frame, key, /*sort_key=*/0, file_offset,
-              telemetry::CurrentSpanContext()};
-  uint8_t* data = runtime_->cache().FrameData(vcpu, frame);
-  AQUILA_TELEMETRY_ONLY(GetAsyncMetrics().fills->Add());
-  StatusOr<uint64_t> dev_offset = map_->backing_->TranslateForQueue(file_offset);
-  if (dev_offset.ok()) {
-    Status status = queue_->SubmitRead(vcpu, *dev_offset, std::span(data, kPageSize), index);
-    if (!status.ok()) {
-      slot.kind = Slot::Kind::kFree;
-      return status;
+  for (const FillRequest& fill : fills) {
+    uint32_t index = ClaimSlotLocked(vcpu);
+    Slot& slot = slots_[index];
+    slot = Slot{Slot::Kind::kFill, fill.demand,      /*published=*/false,
+                fill.frame,        fill.key,         /*sort_key=*/0,
+                fill.file_offset,  telemetry::CurrentSpanContext()};
+    uint8_t* data = cache.FrameData(vcpu, fill.frame);
+    StatusOr<uint64_t> dev_offset = map_->backing_->TranslateForQueue(fill.file_offset);
+    if (dev_offset.ok()) {
+      Status status = queue_->SubmitRead(vcpu, *dev_offset, std::span(data, kPageSize), index);
+      if (!status.ok()) {
+        slot.kind = Slot::Kind::kFree;
+        return status;
+      }
+    } else {
+      uint64_t offsets[1] = {fill.file_offset};
+      uint8_t* const pages[1] = {data};
+      Status status = map_->backing_->ReadPages(vcpu, offsets, pages, kPageSize);
+      const uint64_t now = vcpu.clock().Now();
+      local_.push_back(DeviceQueue::Completion{index, std::move(status), now, now});
     }
-  } else {
-    uint64_t offsets[1] = {file_offset};
-    uint8_t* const pages[1] = {data};
-    Status status = map_->backing_->ReadPages(vcpu, offsets, pages, kPageSize);
-    const uint64_t now = vcpu.clock().Now();
-    local_.push_back(DeviceQueue::Completion{index, std::move(status), now, now});
+    CommitSlotLocked(index);
+    (*submitted)++;
   }
-  telemetry::SpanCollector::Global().NoteAsyncSubmitted(slot.span.trace_id);
+  // Reap what has already landed while the lock is held (every shim
+  // completion, and on a queue the oldest fills): the faults that want those
+  // pages then find them published instead of taking the lock again.
+  (void)ReapLocked(vcpu, /*wait=*/false);
   return Status::Ok();
+}
+
+void AsyncWritebackEngine::CommitSlotLocked(uint32_t index) {
+  AQUILA_DCHECK(!free_slots_.empty() && free_slots_.back() == index);
+  free_slots_.pop_back();
+  const Slot& slot = slots_[index];
+  // The count and the mask change only under lock_: a load and a store, no
+  // RMW.
+  busy_.store(busy_.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
+  if (slot.kind == Slot::Kind::kFill) {
+    fill_keys_[index].store(slot.key, std::memory_order_relaxed);
+    const uint32_t residue = slot.key % kFillResidues;
+    if (fill_residue_counts_[residue]++ == 0) {
+      fill_mask_.store(fill_mask_.load(std::memory_order_relaxed) | (1ull << residue),
+                       std::memory_order_relaxed);
+    }
+  }
+  // The request is committed (queued or buffered in local_): its originating
+  // trace must stay open until CompleteLocked records the device child span.
+  if (slot.span.trace_id != 0) {
+    telemetry::SpanCollector::Global().NoteAsyncSubmitted(slot.span.trace_id);
+  }
 }
 
 size_t AsyncWritebackEngine::Harvest(Vcpu& vcpu) {
+  if (!busy()) {
+    return 0;
+  }
   std::lock_guard<SpinLock> guard(lock_);
   return ReapLocked(vcpu, /*wait=*/false);
 }
 
-bool AsyncWritebackEngine::HasPendingFill(uint64_t key) {
-  std::lock_guard<SpinLock> guard(lock_);
-  for (const Slot& slot : slots_) {
-    if (slot.kind == Slot::Kind::kFill && slot.key == key) {
+bool AsyncWritebackEngine::AnyFillInRange(uint64_t first_key, uint64_t last_key) const {
+  // The residues of [first_key, last_key]: every bit once the range spans
+  // them all, else a run of bits starting at first_key's, wrapping at 64.
+  uint64_t residues = ~0ull;
+  if (last_key - first_key < kFillResidues - 1) {
+    const uint64_t run = (1ull << (last_key - first_key + 1)) - 1;
+    const uint32_t shift = first_key % kFillResidues;
+    residues = shift == 0 ? run : (run << shift) | (run >> (kFillResidues - shift));
+  }
+  if ((fill_mask_.load(std::memory_order_acquire) & residues) == 0) {
+    return false;
+  }
+  for (size_t i = 0; i < slots_.size(); i++) {
+    const uint64_t key = fill_keys_[i].load(std::memory_order_acquire);
+    if (key >= first_key && key <= last_key) {
       return true;
     }
   }
   return false;
 }
 
-bool AsyncWritebackEngine::AwaitFill(Vcpu& vcpu, uint64_t key) {
+FrameId AsyncWritebackEngine::AwaitFill(Vcpu& vcpu, uint64_t key) {
   std::lock_guard<SpinLock> guard(lock_);
-  bool drained = false;
+  WaitProgress progress = StartWaitLocked(vcpu);
+  // Until a fill for `key` publishes or none is left in flight: if the one
+  // waited on fails while a second fill for the page is still in flight,
+  // returning would send the faulter to fill the page itself, and the
+  // second fill's publication would then collide with its insert.
   while (true) {
-    bool pending = false;
-    for (const Slot& slot : slots_) {
-      if (slot.kind == Slot::Kind::kFill && slot.key == key) {
-        pending = true;
-        break;
-      }
+    size_t index = 0;
+    while (index < slots_.size() && fill_keys_[index].load(std::memory_order_relaxed) != key) {
+      index++;
     }
-    if (!pending) {
-      return drained;
+    if (index == slots_.size()) {
+      return kInvalidFrame;
     }
-    drained = true;
+    // The slot cannot be re-claimed while we hold the lock: only submissions
+    // claim slots, so once it reads kFree it still describes this fill.
+    while (slots_[index].kind != Slot::Kind::kFree) {
+      (void)ReapLocked(vcpu, /*wait=*/true);
+      NoteWaitStepLocked(vcpu, "AwaitFill", &progress);
+    }
+    if (slots_[index].published) {
+      return slots_[index].frame;
+    }
+  }
+}
+
+void AsyncWritebackEngine::AwaitFills(Vcpu& vcpu, uint64_t first_key, uint64_t last_key) {
+  if (!AnyFillInRange(first_key, last_key)) {
+    return;
+  }
+  std::lock_guard<SpinLock> guard(lock_);
+  WaitProgress progress = StartWaitLocked(vcpu);
+  while (AnyFillInRange(first_key, last_key)) {
     (void)ReapLocked(vcpu, /*wait=*/true);
+    NoteWaitStepLocked(vcpu, "AwaitFills", &progress);
   }
 }
 
 bool AsyncWritebackEngine::AwaitWritebacks(Vcpu& vcpu, uint64_t first_page,
                                            uint64_t last_page) {
+  if (!busy()) {
+    return false;
+  }
   std::lock_guard<SpinLock> guard(lock_);
   bool drained = false;
+  WaitProgress progress = StartWaitLocked(vcpu);
   while (true) {
     bool pending = false;
     for (const Slot& slot : slots_) {
@@ -299,74 +364,153 @@ bool AsyncWritebackEngine::AwaitWritebacks(Vcpu& vcpu, uint64_t first_page,
     }
     drained = true;
     (void)ReapLocked(vcpu, /*wait=*/true);
+    NoteWaitStepLocked(vcpu, "AwaitWritebacks", &progress);
   }
 }
 
 size_t AsyncWritebackEngine::WaitOne(Vcpu& vcpu) {
   std::lock_guard<SpinLock> guard(lock_);
-  return ReapLocked(vcpu, /*wait=*/true);
-}
-
-size_t AsyncWritebackEngine::Drain(Vcpu& vcpu) {
-  std::lock_guard<SpinLock> guard(lock_);
   size_t freed = 0;
-  while (!local_.empty() || queue_->in_flight() > 0) {
+  const uint64_t reaped_before = reaped_;
+  WaitProgress progress = StartWaitLocked(vcpu);
+  while (reaped_ == reaped_before && busy()) {
     freed += ReapLocked(vcpu, /*wait=*/true);
+    NoteWaitStepLocked(vcpu, "WaitOne", &progress);
   }
   return freed;
 }
 
+size_t AsyncWritebackEngine::Drain(Vcpu& vcpu) {
+  // Always takes the lock, even when idle: teardown relies on it to wait out
+  // a reaper still finishing its bookkeeping.
+  std::lock_guard<SpinLock> guard(lock_);
+  size_t freed = 0;
+  WaitProgress progress = StartWaitLocked(vcpu);
+  while (busy()) {
+    freed += ReapLocked(vcpu, /*wait=*/true);
+    NoteWaitStepLocked(vcpu, "Drain", &progress);
+  }
+  FlushOverlapLocked();
+  return freed;
+}
+
 uint32_t AsyncWritebackEngine::ClaimSlotLocked(Vcpu& vcpu) {
-  while (true) {
-    for (uint32_t i = 0; i < slots_.size(); i++) {
-      if (slots_[i].kind == Slot::Kind::kFree) {
-        return i;
-      }
-    }
+  WaitProgress progress = StartWaitLocked(vcpu);
+  while (free_slots_.empty()) {
     // Saturated: every slot has a completion outstanding (queued or buffered
     // in local_), so reaping always makes room.
     (void)ReapLocked(vcpu, /*wait=*/true);
+    NoteWaitStepLocked(vcpu, "ClaimSlot", &progress);
   }
+  return free_slots_.back();
 }
 
 size_t AsyncWritebackEngine::ReapLocked(Vcpu& vcpu, bool wait) {
   // Captured before any waiting: device time up to here was overlapped with
   // real work; anything later the CPU spent waiting.
   const uint64_t reap_start = vcpu.clock().Now();
-  std::vector<DeviceQueue::Completion> batch;
+  std::vector<DeviceQueue::Completion>& batch = reaped_batch_;
   batch.swap(local_);
-  queue_->Poll(vcpu, &batch);
   if (batch.empty() && wait && queue_->in_flight() > 0) {
-    (void)queue_->WaitMin(vcpu, 1, &batch);
+    // Busy-poll the completion queue: the wait is device time from the
+    // thread's perspective. NextReadyAt may be unknown (a hung command) or
+    // already past (something is ready now, or a decorator is holding a
+    // completion back); the caller's wait loop bounds the steps that make
+    // no progress.
+    const uint64_t next = queue_->NextReadyAt();
+    if (next == UINT64_MAX) {
+      if (!watchdog_) {
+        AbortHungLocked(vcpu, &batch);
+      }
+    } else if (next > reap_start) {
+      vcpu.clock().AdvanceTo(next, CostCategory::kDeviceIo);
+    }
   }
+  queue_->Poll(vcpu, &batch);
   size_t freed = 0;
+  uint64_t overlap_cycles = 0;
   for (const DeviceQueue::Completion& completion : batch) {
-    CompleteLocked(vcpu, completion, reap_start, &freed);
+    CompleteLocked(vcpu, completion, reap_start, &freed, &overlap_cycles);
   }
+  overlap_unflushed_ += overlap_cycles;
+  if (overlap_unflushed_ >= kOverlapFlushCycles) {
+    FlushOverlapLocked();
+  }
+  reaped_ += batch.size();
+  batch.clear();
   return freed;
 }
 
+void AsyncWritebackEngine::FlushOverlapLocked() {
+  AQUILA_TELEMETRY_ONLY(OverlapCycles()->Add(overlap_unflushed_));
+  overlap_unflushed_ = 0;
+}
+
+void AsyncWritebackEngine::AbortHungLocked(Vcpu& vcpu,
+                                           std::vector<DeviceQueue::Completion>* out) {
+  // Nothing on the medium will ever complete, and no watchdog will time the
+  // in-flight commands out: they are hung. Like the synchronous path, stall
+  // for a bounded time and then abort each command the queue can withdraw,
+  // completing it with an I/O error (a fill frees its frame and the faulter
+  // re-reads the page; a writeback restores its page dirty). A command the
+  // queue cannot withdraw stays in flight, and the wait loop's progress
+  // check reports it.
+  vcpu.clock().Charge(CostCategory::kDeviceIo, kHungCommandAbortCycles);
+  const uint64_t now = vcpu.clock().Now();
+  for (uint32_t i = 0; i < slots_.size(); i++) {
+    if (slots_[i].kind != Slot::Kind::kFree && queue_->Cancel(i)) {
+      out->push_back(DeviceQueue::Completion{
+          i, Status::IoError("device command hung: aborted (no watchdog armed)"), now, now});
+    }
+  }
+}
+
+void AsyncWritebackEngine::FailNoProgressLocked(Vcpu& vcpu, const char* loop, uint32_t steps) {
+  AQUILA_LOG(ERROR,
+             "async engine (mapping %llu): %s made no progress in %u steps: in_flight=%u "
+             "next_ready_at=%llu now=%llu buffered=%zu",
+             static_cast<unsigned long long>(map_->mapping_id()), loop, steps,
+             queue_->in_flight(), static_cast<unsigned long long>(queue_->NextReadyAt()),
+             static_cast<unsigned long long>(vcpu.clock().Now()), local_.size());
+  static constexpr const char* kKindNames[] = {"free", "writeback", "fill"};
+  for (uint32_t i = 0; i < slots_.size(); i++) {
+    const Slot& slot = slots_[i];
+    if (slot.kind == Slot::Kind::kFree) {
+      continue;
+    }
+    AQUILA_LOG(ERROR, "  slot %u: kind=%s key=%#llx ready_at=%llu", i,
+               kKindNames[static_cast<int>(slot.kind)],
+               static_cast<unsigned long long>(slot.key),
+               static_cast<unsigned long long>(queue_->ReadyAt(i)));
+  }
+  AQUILA_CHECK(!"async engine wait loop made no progress");
+}
+
 void AsyncWritebackEngine::CompleteLocked(Vcpu& vcpu, const DeviceQueue::Completion& completion,
-                                          uint64_t overlap_until, size_t* freed) {
+                                          uint64_t overlap_until, size_t* freed,
+                                          uint64_t* overlap_cycles) {
   AQUILA_DCHECK(completion.user_data < slots_.size());
-  Slot slot = slots_[completion.user_data];
-  slots_[completion.user_data].kind = Slot::Kind::kFree;
+  const uint32_t index = static_cast<uint32_t>(completion.user_data);
+  Slot& entry = slots_[index];
+  const Slot slot = entry;
   AQUILA_DCHECK(slot.kind != Slot::Kind::kFree);
+  entry.kind = Slot::Kind::kFree;
+  free_slots_.push_back(index);
   // Close the causal chain across the thread hop: the device interval
   // [submit_at, ready_at] becomes a child span of the request that submitted
   // this I/O — and if that request's root already closed, this is the
   // completion its trace was waiting on to finalize. No-op when unsampled.
-  telemetry::SpanCollector::Global().CompleteAsync(slot.span, telemetry::SpanPhase::kDevice,
-                                                   completion.submit_at, completion.ready_at,
-                                                   slot.file_offset);
-#if AQUILA_TELEMETRY_ENABLED
+  if (slot.span.trace_id != 0) {
+    telemetry::SpanCollector::Global().CompleteAsync(slot.span, telemetry::SpanPhase::kDevice,
+                                                     completion.submit_at, completion.ready_at,
+                                                     slot.file_offset);
+  }
   if (completion.submit_at != 0 && completion.ready_at > completion.submit_at) {
     uint64_t until = std::min(overlap_until, completion.ready_at);
     if (until > completion.submit_at) {
-      GetAsyncMetrics().overlap_cycles->Add(until - completion.submit_at);
+      *overlap_cycles += until - completion.submit_at;
     }
   }
-#endif
   PageCache& cache = runtime_->cache();
   FaultStats& stats = runtime_->fault_stats();
   if (slot.kind == Slot::Kind::kWriteback) {
@@ -416,11 +560,22 @@ void AsyncWritebackEngine::CompleteLocked(Vcpu& vcpu, const DeviceQueue::Complet
       cache.FreeFrame(vcpu.core(), slot.frame);
       (*freed)++;
     }
+    entry.published = published;
+    // After the publication: a faulter that no longer sees the key (or reads
+    // its residue's bit clear) finds the page in the hash (see
+    // HasPendingFill).
+    fill_keys_[index].store(0, std::memory_order_release);
+    const uint32_t residue = slot.key % kFillResidues;
+    if (--fill_residue_counts_[residue] == 0) {
+      fill_mask_.store(fill_mask_.load(std::memory_order_relaxed) & ~(1ull << residue),
+                       std::memory_order_release);
+    }
     // The parked demand owner (entry.frame == slot.frame) receives the
     // completion status as terminal — a failed or watchdog-abandoned fill
     // resolves its request with that error; every other waiter re-runs.
     runtime_->WakeParked(slot.key, slot.frame, completion.status, vcpu.core());
   }
+  busy_.store(busy_.load(std::memory_order_relaxed) - 1, std::memory_order_release);
 }
 
 }  // namespace aquila

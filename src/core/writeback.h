@@ -1,4 +1,4 @@
-// Writeback planning and the asynchronous overlapped I/O pipeline.
+// Writeback planning and the per-mapping device-queue engine.
 //
 // Every path that cleans dirty pages — eviction, msync, madvise(DONTNEED),
 // unmap — follows the same shape: collect claimed dirty frames, sort them by
@@ -10,9 +10,10 @@
 // msync and unmap write synchronously (SubmitSync): they promise durability
 // and run their own claim loops. Reclaim — eviction and madvise(DONTNEED) —
 // goes through AddReclaim/SubmitReclaim, and those two calls are the one
-// place the Options::async_writeback choice is made:
-//   * sync: one batched WritePages call per owning mapping; the caller blocks
-//     until the device acknowledges, holding each page's entry lock.
+// place Options::async_writeback is read:
+//   * sync (default): one batched WritePages call per owning mapping; the
+//     caller blocks until the device acknowledges, holding each page's entry
+//     lock.
 //   * async: each item is routed to its owning mapping's
 //     AsyncWritebackEngine, which submits it on a DeviceQueue and returns
 //     immediately. The frame sits in FrameState::kWritingBack until the
@@ -20,14 +21,18 @@
 //     advancing simulated time past the device's ready timestamps) while the
 //     writes are in flight, which is the overlap the pipeline exists for.
 //
-// The engine also issues read-ahead as asynchronous fills: frames stay
-// kFilling (unmapped, invisible to evictors) until their completion reaps,
-// at which point they are published into the cache hash.
+// Every mapping owns an engine whatever the writeback mode: read-ahead is
+// always issued through it as asynchronous fills. A fill's frame stays
+// kFilling (unmapped, invisible to evictors) until its completion is reaped,
+// at which point it is published into the cache hash.
 #ifndef AQUILA_SRC_CORE_WRITEBACK_H_
 #define AQUILA_SRC_CORE_WRITEBACK_H_
 
+#include <array>
+#include <atomic>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "src/cache/page_cache.h"
@@ -76,8 +81,8 @@ class WritebackPlanner {
   // keeps its cache mapping, so a faulter waits out the writeback instead of
   // re-reading a page the device has not acknowledged; the entry lock drops
   // now. Sync: the cache mapping goes and the entry lock stays held until
-  // SubmitReclaim — sync mode has no engine for Unmap to drain, so the lock
-  // is what keeps the owner alive across the write.
+  // SubmitReclaim — the write bypasses the engine, so Unmap's drain cannot
+  // wait for it and the lock is what keeps the owner alive across the write.
   void AddReclaim(const WritebackItem& item);
 
   // Submits and settles the reclaim victims; the caller then shoots down
@@ -108,15 +113,38 @@ class WritebackPlanner {
   std::vector<WritebackItem> items_;
 };
 
+// One asynchronous fill: `frame` (state kFilling, key set, vaddr 0, not yet in
+// the hash) is read from `file_offset`. `demand` marks a cooperative-scheduler
+// demand fill (park point c): its publication counts a major fault rather
+// than a readahead page, and its completion status is delivered to the
+// parked owner through the wake path.
+struct FillRequest {
+  FrameId frame = kInvalidFrame;
+  uint64_t key = 0;
+  uint64_t file_offset = 0;
+  bool demand = false;
+};
+
 // Per-mapping asynchronous writeback/readahead engine over the owning
-// backing's DeviceQueue. Writebacks keep the cache mapping and hold the
-// frame in kWritingBack so concurrent faulters wait for the completion
+// backing's DeviceQueue; every AquilaMap has one (devices without queueing
+// get the sync-emulation shim). Writebacks keep the cache mapping and hold
+// the frame in kWritingBack so concurrent faulters wait for the completion
 // instead of re-reading a page the device has not acknowledged; fills hold
 // the frame in kFilling and publish it into the hash on completion.
 //
 // Thread safety: all queue and slot state is guarded by lock_. Lock order is
 // entry locks -> maps_lock_ -> engine lock -> cache internals; the engine
-// never acquires entry locks or maps_lock_.
+// never acquires entry locks or maps_lock_. The slot count, the fill residue
+// mask and the in-flight fill keys are readable without the lock, so a fault
+// whose page has no fill in flight, and a harvest of an idle engine, never
+// take it.
+//
+// Every wait loop (AwaitFill, AwaitFills, AwaitWritebacks, WaitOne,
+// ClaimSlotLocked, Drain) asserts bounded progress: each step must reap a
+// completion or advance the caller's clock. kMaxIdleWaitSteps steps with
+// neither dump the slot table and fail an AQUILA_CHECK instead of spinning
+// forever. Without a watchdog, a wait that finds only hung commands in
+// flight aborts them with an I/O error instead (AbortHungLocked).
 class AsyncWritebackEngine {
  public:
   AsyncWritebackEngine(Aquila* runtime, AquilaMap* map, uint32_t depth);
@@ -128,34 +156,50 @@ class AsyncWritebackEngine {
   // machinery rejected the request — the caller must restore the frame.
   Status SubmitWriteback(Vcpu& vcpu, const WritebackItem& item);
 
-  // Submits an async fill into `frame` (state kFilling, key set, vaddr 0,
-  // not yet in the hash). On completion the engine inserts the mapping and
-  // publishes kResident, or frees the frame if the page was concurrently
-  // faulted in or the read failed. `demand` marks a cooperative-scheduler
-  // demand fill (park point c): its publication counts a major fault rather
-  // than a readahead page, and its completion status is delivered to the
-  // parked owner through the wake path.
-  Status SubmitFill(Vcpu& vcpu, FrameId frame, uint64_t key, uint64_t file_offset,
-                    bool demand = false);
+  static constexpr uint32_t kMaxIdleWaitSteps = 1000;
 
-  // True while a fill for `key` is in flight. The cooperative fault path
-  // checks this (under the page's entry lock) to decide between parking on
-  // someone else's fill and submitting its own; the park protocol re-checks
-  // it after PrePark, so a completion racing the check is never missed.
-  bool HasPendingFill(uint64_t key);
+  // Submits `fills` in order under one engine lock. On completion the engine
+  // inserts each mapping and publishes kResident, or frees the frame if the
+  // page was concurrently faulted in or the read failed. Stops at the first
+  // request the submission machinery rejects and returns its status;
+  // `*submitted` is the number accepted, and the caller still owns (and must
+  // free) the frames of the rest. Before unlocking, reaps (without waiting)
+  // whatever has already completed.
+  Status SubmitFills(Vcpu& vcpu, std::span<const FillRequest> fills, size_t* submitted);
+
+  // True while a fill for `key` is in flight; lock-free (a mask of the key
+  // residues with fills in flight, then the slots' keys, read with acquire).
+  // A caller holding the page's entry lock that reads false cannot miss a
+  // fill for that page and finds it in the hash instead: fills are submitted
+  // under the entry lock, and a completion publishes into the hash before it
+  // clears the key and, with the residue's last fill, its mask bit. The
+  // cooperative fault path re-checks it after PrePark; a completion clears
+  // the key before its Wake takes the parked table's lock, so either the
+  // re-check sees the key cleared or the Wake sees the reservation.
+  bool HasPendingFill(uint64_t key) const { return AnyFillInRange(key, key); }
 
   // Reaps every completion whose device time has passed (no waiting).
   // Returns the number of frames released to the freelist.
   size_t Harvest(Vcpu& vcpu);
 
-  // Waits out any in-flight fill for `key`, reaping completions (and thus
-  // publishing the fill) as they become ready. Returns true if such a fill
-  // was drained. A faulter that missed in the hash MUST call this before
-  // filling the page itself — while holding the page's entry lock — so a
-  // pending read-ahead fill is consumed instead of duplicated, and so the
-  // lock-free publication in CompleteLocked can never collide with the
-  // faulter's own insert (fills are only submitted under the entry lock).
-  bool AwaitFill(Vcpu& vcpu, uint64_t key);
+  // Waits out in-flight fills for `key`, reaping completions (and thus
+  // publishing them) as they become ready, until one publishes or none is
+  // left. Returns the published frame, or kInvalidFrame once no fill for
+  // `key` is in flight and none published (every read failed, or a
+  // concurrent harvester published it already). A faulter that missed in
+  // the hash MUST call this before filling the page itself — while holding
+  // the page's entry lock — so a pending read-ahead fill is consumed instead
+  // of duplicated, and so the lock-free publication in CompleteLocked can
+  // never collide with the faulter's own insert (fills are only submitted
+  // under the entry lock). A returned frame is published but unpinned: the
+  // caller pins it like any lookup hit.
+  FrameId AwaitFill(Vcpu& vcpu, uint64_t key);
+
+  // Waits out every in-flight fill whose key lies in [first_key, last_key]
+  // (one mapping's contiguous pages), publishing each. Huge-page promotion
+  // calls it holding every entry lock of the span, so no new fill can start
+  // there meanwhile.
+  void AwaitFills(Vcpu& vcpu, uint64_t first_key, uint64_t last_key);
 
   // Waits out every in-flight writeback whose file page lies in
   // [first_page, last_page], reaping completions as they become ready;
@@ -172,6 +216,9 @@ class AsyncWritebackEngine {
   // be 0 even after a reap (a failed writeback restores its frame instead).
   size_t WaitOne(Vcpu& vcpu);
 
+  // True while any submission's completion is still unreaped.
+  bool busy() const { return busy_.load(std::memory_order_acquire) != 0; }
+
   // Reaps everything in flight, waiting as needed. Failed writebacks are
   // restored dirty-in-place, so a caller that needs durability (msync,
   // teardown) re-collects them and surfaces the error from its own
@@ -184,7 +231,8 @@ class AsyncWritebackEngine {
   struct Slot {
     enum class Kind : uint8_t { kFree, kWriteback, kFill };
     Kind kind = Kind::kFree;
-    bool demand = false;  // kFill submitted for a parked faulter, not readahead
+    bool demand = false;     // kFill submitted for a parked faulter, not readahead
+    bool published = false;  // kFill reaped into the hash; read by AwaitFill
     FrameId frame = kInvalidFrame;
     uint64_t key = 0;
     uint64_t sort_key = 0;
@@ -196,23 +244,82 @@ class AsyncWritebackEngine {
     telemetry::SpanContext span;
   };
 
+  // Progress of one wait loop: the clock and reap count at the last step
+  // that moved either, and the steps since.
+  struct WaitProgress {
+    uint64_t now = 0;
+    uint64_t reaped = 0;
+    uint32_t idle_steps = 0;
+  };
+
   // Finds a free slot, reaping (and waiting if necessary) when the queue is
-  // saturated. Returns the slot index.
+  // saturated. Returns the slot index; the slot stays free until
+  // CommitSlotLocked, so a rejected submission needs no undo.
   uint32_t ClaimSlotLocked(Vcpu& vcpu);
-  // Reaps ready completions; with `wait` also advances time for one more
-  // when none are ready. Returns frames freed.
+  // Takes the claimed slot `index` into use (its submission was accepted).
+  void CommitSlotLocked(uint32_t index);
+  // Reaps ready completions; with `wait` and none ready, advances time to the
+  // queue's next ready time and polls once more. Returns frames freed.
   size_t ReapLocked(Vcpu& vcpu, bool wait);
+  // Settles one completion; adds the device time it overlapped with work
+  // done before `overlap_until` to `*overlap_cycles`.
   void CompleteLocked(Vcpu& vcpu, const DeviceQueue::Completion& completion,
-                      uint64_t overlap_until, size_t* freed);
+                      uint64_t overlap_until, size_t* freed, uint64_t* overlap_cycles);
+  bool AnyFillInRange(uint64_t first_key, uint64_t last_key) const;
+  // One step of a wait loop: fails once kMaxIdleWaitSteps steps in a row
+  // neither reaped a completion nor advanced the clock.
+  void NoteWaitStepLocked(Vcpu& vcpu, const char* loop, WaitProgress* progress) {
+    const uint64_t now = vcpu.clock().Now();
+    if (now != progress->now || reaped_ != progress->reaped) {
+      *progress = WaitProgress{now, reaped_, 0};
+    } else if (++progress->idle_steps >= kMaxIdleWaitSteps) {
+      FailNoProgressLocked(vcpu, loop, progress->idle_steps);
+    }
+  }
+  WaitProgress StartWaitLocked(Vcpu& vcpu) const { return {vcpu.clock().Now(), reaped_, 0}; }
+  // Adds the overlap cycles accumulated since the last flush to the
+  // aquila.core.async_overlap_cycles counter.
+  void FlushOverlapLocked();
+  // With no watchdog armed and nothing on the medium due, withdraws every
+  // hung command after a bounded stall and appends an I/O-error completion
+  // for each to `out`.
+  void AbortHungLocked(Vcpu& vcpu, std::vector<DeviceQueue::Completion>* out);
+  // Prints the slot table and the queue's state, then fails an AQUILA_CHECK.
+  [[noreturn]] void FailNoProgressLocked(Vcpu& vcpu, const char* loop, uint32_t steps);
+
+  // The device stall before a hung command is aborted when no watchdog is
+  // armed: the synchronous path's default (FaultInjectingDevice's
+  // sync_hang_stall_cycles).
+  static constexpr uint64_t kHungCommandAbortCycles = 10'000'000;
+  // Overlap cycles an engine accumulates before adding them to the shared
+  // counter (~0.4 ms of device time at 2.4 GHz); Drain flushes the rest.
+  static constexpr uint64_t kOverlapFlushCycles = 1'000'000;
 
   Aquila* runtime_;
   AquilaMap* map_;
+  const bool watchdog_;  // Options::device_op_timeout_us armed a WatchdogQueue
   SpinLock lock_;
   std::unique_ptr<DeviceQueue> queue_;          // guarded by lock_
   std::vector<Slot> slots_;                     // guarded by lock_; user_data = index
+  // slots_[i]'s key while it is a fill in flight, else 0 (keys are never 0).
+  // Written under lock_, read anywhere.
+  std::unique_ptr<std::atomic<uint64_t>[]> fill_keys_;
+  std::vector<uint32_t> free_slots_;            // guarded by lock_: stack of free indices
   std::vector<DeviceQueue::Completion> local_;  // guarded by lock_: results of
                                                 // requests executed synchronously
                                                 // (no device extent to queue on)
+  std::vector<DeviceQueue::Completion> reaped_batch_;  // guarded by lock_; reused
+  uint64_t reaped_ = 0;                                // guarded by lock_: completions
+  uint64_t overlap_unflushed_ = 0;                     // guarded by lock_
+  std::atomic<uint32_t> busy_{0};   // slots in use; written under lock_, read anywhere
+  // Fills in flight by key residue (key % kFillResidues): bit r of the mask
+  // is set while the count of residue r is nonzero, so a key whose bit is
+  // clear has no fill in flight without scanning fill_keys_. A stream's
+  // window is a run of consecutive keys, so the pages past it read clear.
+  // Counts guarded by lock_; the mask written under lock_, read anywhere.
+  static constexpr uint32_t kFillResidues = 64;
+  std::array<uint32_t, kFillResidues> fill_residue_counts_{};
+  std::atomic<uint64_t> fill_mask_{0};
 };
 
 }  // namespace aquila

@@ -288,7 +288,7 @@ Status WatchdogQueue::SubmitOp(Vcpu& vcpu, bool is_read, uint64_t offset,
     c.submit_at = now;
     c.ready_at = now;
     ready_.push_back(std::move(c));
-    NoteSubmit(now);
+    NoteSubmit();
     return Status::Ok();
   }
   uint64_t op_id = next_op_++;
@@ -304,7 +304,7 @@ Status WatchdogQueue::SubmitOp(Vcpu& vcpu, bool is_read, uint64_t offset,
     ops_.erase(op_id);
     return s;
   }
-  NoteSubmit(now);
+  NoteSubmit();
   return Status::Ok();
 }
 
@@ -346,7 +346,7 @@ uint32_t WatchdogQueue::Poll(Vcpu& vcpu, std::vector<Completion>* out) {
   Sweep(vcpu, now);
   uint32_t reaped = 0;
   for (Completion& c : ready_) {
-    NoteComplete(now, 0);  // inner already recorded the real latency
+    NoteComplete();
     out->push_back(std::move(c));
     reaped++;
   }

@@ -5,50 +5,8 @@
 
 namespace aquila {
 
-#if AQUILA_TELEMETRY_ENABLED
-namespace {
-
-// Shared across every queue instance (runtime-wide view); the per-queue
-// depth gauge below keeps individual queues distinguishable by summing.
-struct QueueMetrics {
-  telemetry::Counter* submits =
-      telemetry::Registry().GetCounter("aquila.storage.queue_submits");
-  Histogram* inflight_at_submit =
-      telemetry::Registry().GetHistogram("aquila.storage.queue_inflight_at_submit");
-  Histogram* complete_cycles =
-      telemetry::Registry().GetHistogram("aquila.storage.queue_complete_cycles");
-};
-
-const QueueMetrics& GetQueueMetrics() {
-  static QueueMetrics metrics;
-  return metrics;
-}
-
-}  // namespace
-#endif
-
 DeviceQueue::DeviceQueue(uint32_t depth) : depth_(depth == 0 ? 1 : depth) {
   metrics_.AddGauge("aquila.storage.queue_depth", [this] { return in_flight(); });
-}
-
-void DeviceQueue::NoteSubmit(uint64_t now) {
-  (void)now;
-#if AQUILA_TELEMETRY_ENABLED
-  GetQueueMetrics().submits->Add();
-  GetQueueMetrics().inflight_at_submit->Record(in_flight());
-#endif
-  in_flight_.fetch_add(1, std::memory_order_relaxed);
-}
-
-void DeviceQueue::NoteComplete(uint64_t now, uint64_t submit_at) {
-  (void)now;
-  (void)submit_at;
-#if AQUILA_TELEMETRY_ENABLED
-  if (submit_at != 0 && now >= submit_at) {
-    GetQueueMetrics().complete_cycles->Record(now - submit_at);
-  }
-#endif
-  in_flight_.fetch_sub(1, std::memory_order_relaxed);
 }
 
 Status DeviceQueue::WaitMin(Vcpu& vcpu, uint32_t min, std::vector<Completion>* out) {
@@ -92,7 +50,7 @@ Status SyncDeviceQueue::SubmitRead(Vcpu& vcpu, uint64_t offset, std::span<uint8_
     return status;
   }
   uint64_t now = vcpu.clock().Now();
-  NoteSubmit(now);
+  NoteSubmit();
   done_.push_back(Completion{user_data, status, now, now});
   return Status::Ok();
 }
@@ -107,16 +65,16 @@ Status SyncDeviceQueue::SubmitWrite(Vcpu& vcpu, uint64_t offset, std::span<const
     return status;
   }
   uint64_t now = vcpu.clock().Now();
-  NoteSubmit(now);
+  NoteSubmit();
   done_.push_back(Completion{user_data, status, now, now});
   return Status::Ok();
 }
 
 uint32_t SyncDeviceQueue::Poll(Vcpu& vcpu, std::vector<Completion>* out) {
-  uint64_t now = vcpu.clock().Now();
+  (void)vcpu;
   uint32_t reaped = static_cast<uint32_t>(done_.size());
   for (Completion& c : done_) {
-    NoteComplete(now, c.submit_at);
+    NoteComplete();
     out->push_back(std::move(c));
   }
   done_.clear();

@@ -46,6 +46,10 @@ class DeviceQueue {
     // caller overlapped with useful work (or paid in WaitMin).
     uint64_t submit_at = 0;
     uint64_t ready_at = 0;
+    // The command's direction and length, for per-layer DeviceStats (set by
+    // queues that move data on a medium; 0 for buffered results).
+    uint32_t bytes = 0;
+    bool write = false;
   };
 
   explicit DeviceQueue(uint32_t depth);
@@ -79,6 +83,13 @@ class DeviceQueue {
   // on the medium (buffered immediate completions report 0: already ready).
   virtual uint64_t NextReadyAt() const = 0;
 
+  // Completion time of the in-flight command `user_data`, for diagnostics;
+  // UINT64_MAX when unknown (not in flight, or a queue that does not say).
+  virtual uint64_t ReadyAt(uint64_t user_data) const {
+    (void)user_data;
+    return UINT64_MAX;
+  }
+
   // Best-effort cancellation of one in-flight command by its user_data.
   // Returns true when the command was withdrawn and its completion will
   // NEVER be delivered (the watchdog layer uses this to reclaim slots from
@@ -104,11 +115,14 @@ class DeviceQueue {
   bool Full() const { return in_flight() >= depth_; }
 
   // Bookkeeping hooks implementations call once per submitted command and
-  // once per reaped completion. `submit_at` == 0 skips the latency
-  // histogram (decorators forwarding an inner queue's completion pass 0 —
-  // the inner queue already recorded it).
-  void NoteSubmit(uint64_t now);
-  void NoteComplete(uint64_t now, uint64_t submit_at);
+  // once per reaped completion. Queues are single-owner, so only the owner
+  // writes the in-flight count: a load and a store, no RMW.
+  void NoteSubmit() {
+    in_flight_.store(in_flight_.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
+  }
+  void NoteComplete() {
+    in_flight_.store(in_flight_.load(std::memory_order_relaxed) - 1, std::memory_order_relaxed);
+  }
 
  private:
   const uint32_t depth_;

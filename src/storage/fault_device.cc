@@ -193,7 +193,7 @@ FaultInjectingQueue::FaultInjectingQueue(FaultInjectingDevice* device,
 
 void FaultInjectingQueue::BufferFailure(Vcpu& vcpu, uint64_t user_data, Status status) {
   uint64_t now = vcpu.clock().Now();
-  NoteSubmit(now);
+  NoteSubmit();
   failed_.push_back(Completion{user_data, std::move(status), now, now});
 }
 
@@ -214,7 +214,7 @@ Status FaultInjectingQueue::SubmitRead(Vcpu& vcpu, uint64_t offset, std::span<ui
     device_->fault_stats_.injected_hangs.fetch_add(1, std::memory_order_relaxed);
     device_->fault_stats_.total_injected.fetch_add(1, std::memory_order_relaxed);
     hung_.emplace(user_data, vcpu.clock().Now());
-    NoteSubmit(vcpu.clock().Now());
+    NoteSubmit();
     return Status::Ok();
   }
   if (verdict == FaultInjectingDevice::Verdict::kFail) {
@@ -231,7 +231,7 @@ Status FaultInjectingQueue::SubmitRead(Vcpu& vcpu, uint64_t offset, std::span<ui
     device_->fault_stats_.latency_spikes.fetch_add(1, std::memory_order_relaxed);
     spike_cycles_[user_data] = spike;
   }
-  NoteSubmit(vcpu.clock().Now());
+  NoteSubmit();
   return Status::Ok();
 }
 
@@ -253,7 +253,7 @@ Status FaultInjectingQueue::SubmitWrite(Vcpu& vcpu, uint64_t offset,
     device_->fault_stats_.injected_hangs.fetch_add(1, std::memory_order_relaxed);
     device_->fault_stats_.total_injected.fetch_add(1, std::memory_order_relaxed);
     hung_.emplace(user_data, vcpu.clock().Now());
-    NoteSubmit(vcpu.clock().Now());
+    NoteSubmit();
     return Status::Ok();
   }
   if (verdict == FaultInjectingDevice::Verdict::kFail) {
@@ -275,7 +275,7 @@ Status FaultInjectingQueue::SubmitWrite(Vcpu& vcpu, uint64_t offset,
     device_->fault_stats_.latency_spikes.fetch_add(1, std::memory_order_relaxed);
     spike_cycles_[user_data] = spike;
   }
-  NoteSubmit(vcpu.clock().Now());
+  NoteSubmit();
   return Status::Ok();
 }
 
@@ -283,7 +283,7 @@ uint32_t FaultInjectingQueue::Poll(Vcpu& vcpu, std::vector<Completion>* out) {
   uint64_t now = vcpu.clock().Now();
   uint32_t reaped = static_cast<uint32_t>(failed_.size());
   for (Completion& c : failed_) {
-    NoteComplete(now, c.submit_at);
+    NoteComplete();
     out->push_back(std::move(c));
   }
   failed_.clear();
@@ -306,9 +306,8 @@ uint32_t FaultInjectingQueue::Poll(Vcpu& vcpu, std::vector<Completion>* out) {
         continue;
       }
     }
-    // submit_at == 0: the inner queue already recorded this completion's
-    // latency; only the in-flight count changes at this layer.
-    NoteComplete(now, 0);
+    NoteComplete();
+    CountCompleted(c);
     reaped++;
     out->push_back(std::move(c));
   }
@@ -316,13 +315,30 @@ uint32_t FaultInjectingQueue::Poll(Vcpu& vcpu, std::vector<Completion>* out) {
   // deadline order.
   auto it = delayed_.begin();
   while (it != delayed_.end() && it->ready_at <= now) {
-    NoteComplete(now, 0);
+    NoteComplete();
+    CountCompleted(*it);
     reaped++;
     out->push_back(std::move(*it));
     ++it;
   }
   delayed_.erase(delayed_.begin(), it);
   return reaped;
+}
+
+void FaultInjectingQueue::CountCompleted(const Completion& c) {
+  // Once per layer, like the synchronous wrappers: the inner queue counted
+  // the command on its own device.
+  if (!c.status.ok()) {
+    return;
+  }
+  DeviceStats& stats = device_->stats_;
+  if (c.write) {
+    stats.writes.fetch_add(1, std::memory_order_relaxed);
+    stats.bytes_written.fetch_add(c.bytes, std::memory_order_relaxed);
+  } else {
+    stats.reads.fetch_add(1, std::memory_order_relaxed);
+    stats.bytes_read.fetch_add(c.bytes, std::memory_order_relaxed);
+  }
 }
 
 bool FaultInjectingQueue::Cancel(uint64_t user_data) {
@@ -333,9 +349,8 @@ bool FaultInjectingQueue::Cancel(uint64_t user_data) {
     return false;
   }
   hung_.erase(it);
-  // The command is gone for good: balance its NoteSubmit. submit_at == 0
-  // keeps it out of the latency histogram.
-  NoteComplete(0, 0);
+  // The command is gone for good: balance its NoteSubmit.
+  NoteComplete();
   return true;
 }
 

@@ -213,6 +213,9 @@ class FaultInjectingQueue : public DeviceQueue {
                      uint64_t user_data) override;
   uint32_t Poll(Vcpu& vcpu, std::vector<Completion>* out) override;
   uint64_t NextReadyAt() const override;
+  // Commands are forwarded under the caller's user_data; spiked ones held
+  // back in delayed_ and hung ones report unknown.
+  uint64_t ReadyAt(uint64_t user_data) const override { return inner_->ReadyAt(user_data); }
 
   // Hung commands were swallowed before the medium, so withdrawal is real:
   // the completion will never be delivered. Returns true for those only.
@@ -221,6 +224,8 @@ class FaultInjectingQueue : public DeviceQueue {
  private:
   // Books an injected (or offline) failure as a ready completion.
   void BufferFailure(Vcpu& vcpu, uint64_t user_data, Status status);
+  // Counts a successful inner completion in this device's DeviceStats.
+  void CountCompleted(const Completion& c);
 
   FaultInjectingDevice* device_;
   std::unique_ptr<DeviceQueue> inner_;

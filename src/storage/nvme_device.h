@@ -125,10 +125,14 @@ class NvmeQueuePair {
 // Native DeviceQueue over one NvmeController: the SPDK queue-pair model
 // behind the generic submission/completion interface. Submit charges the
 // doorbell cost and books media time; Poll charges the per-completion reap
-// cost once the media is done. Single-owner, like NvmeQueuePair.
+// cost once the media is done, and counts each completed command in `stats`
+// (the owning device's DeviceStats, like its synchronous wrappers; may be
+// null). Poll and NextReadyAt read a cached earliest ready time, so polling
+// before anything is due does not scan the slots. Single-owner, like
+// NvmeQueuePair.
 class NvmeDeviceQueue : public DeviceQueue {
  public:
-  NvmeDeviceQueue(NvmeController* controller, uint32_t depth);
+  NvmeDeviceQueue(NvmeController* controller, uint32_t depth, DeviceStats* stats = nullptr);
 
   const char* name() const override { return "nvme"; }
   uint64_t io_alignment() const override { return NvmeController::kLbaSize; }
@@ -138,21 +142,29 @@ class NvmeDeviceQueue : public DeviceQueue {
   Status SubmitWrite(Vcpu& vcpu, uint64_t offset, std::span<const uint8_t> src,
                      uint64_t user_data) override;
   uint32_t Poll(Vcpu& vcpu, std::vector<Completion>* out) override;
-  uint64_t NextReadyAt() const override;
+  uint64_t NextReadyAt() const override { return next_ready_at_; }
+  uint64_t ReadyAt(uint64_t user_data) const override;
 
  private:
+  static constexpr uint64_t kFree = UINT64_MAX;  // ready_at_ of a free slot
+
   struct Slot {
-    bool in_use = false;
+    bool write = false;
+    uint32_t bytes = 0;
     uint64_t user_data = 0;
     uint64_t submit_at = 0;
-    uint64_t ready_at = 0;
   };
 
   Status Submit(Vcpu& vcpu, NvmeOpcode opcode, uint64_t offset, uint8_t* buffer,
                 uint64_t bytes, uint64_t user_data);
 
   NvmeController* controller_;
+  DeviceStats* stats_;
   std::vector<Slot> slots_;
+  // Completion time per slot, kept apart from the slots so a poll scans one
+  // dense array; kFree marks a free slot.
+  std::vector<uint64_t> ready_at_;
+  uint64_t next_ready_at_ = kFree;  // earliest in-use ready_at
 };
 
 // Synchronous BlockDevice facade over per-core queue pairs (SPDK path: no

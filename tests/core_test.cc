@@ -12,6 +12,7 @@
 #include "src/core/aquila.h"
 #include "src/core/mmio_region.h"
 #include "src/storage/device_queue.h"
+#include "src/storage/fault_device.h"
 #include "src/storage/nvme_device.h"
 #include "src/storage/pmem_device.h"
 #include "src/util/rng.h"
@@ -226,6 +227,9 @@ TEST_F(AquilaTest, SequentialAdviceTriggersReadAhead) {
   ASSERT_TRUE(map.ok());
   ASSERT_TRUE((*map)->Advise(0, 1 << 20, Advice::kSequential).ok());
   EXPECT_TRUE((*map)->TouchRead(0).faulted);
+  // Readahead fills publish when their completions are reaped; msync drains
+  // the mapping's queue.
+  ASSERT_TRUE((*map)->Sync(0, kPageSize).ok());
   EXPECT_GT(runtime_->fault_stats().readahead_pages.load(), 0u);
   // The next pages are already cached: minor faults at most, no device read.
   uint64_t majors = runtime_->fault_stats().major_faults.load();
@@ -601,7 +605,7 @@ class RejectingQueue : public DeviceQueue {
     if (!status.ok()) {
       return status;
     }
-    NoteSubmit(vcpu.clock().Now());
+    NoteSubmit();
     return Status::Ok();
   }
 
@@ -615,16 +619,15 @@ class RejectingQueue : public DeviceQueue {
     if (!status.ok()) {
       return status;
     }
-    NoteSubmit(vcpu.clock().Now());
+    NoteSubmit();
     return Status::Ok();
   }
 
   uint32_t Poll(Vcpu& vcpu, std::vector<Completion>* out) override {
     std::vector<Completion> inner_done;
     inner_->Poll(vcpu, &inner_done);
-    uint64_t now = vcpu.clock().Now();
     for (Completion& c : inner_done) {
-      NoteComplete(now, 0);
+      NoteComplete();
       out->push_back(std::move(c));
     }
     return static_cast<uint32_t>(inner_done.size());
@@ -939,6 +942,151 @@ INSTANTIATE_TEST_SUITE_P(Writeback, EvictBatchMixTest, ::testing::Values(false, 
                          [](const ::testing::TestParamInfo<bool>& info) {
                            return info.param ? "Async" : "Sync";
                          });
+
+// Default Options (synchronous reclaim writeback) over NVMe: readahead still
+// streams through the mapping's device queue.
+class ReadaheadStreamTest : public ::testing::Test {
+ protected:
+  static constexpr uint64_t kDeviceBytes = 16ull << 20;
+  static constexpr uint64_t kCachePages = 2048;
+
+  ReadaheadStreamTest() {
+    NvmeController::Options ctrl_options;
+    ctrl_options.capacity_bytes = kDeviceBytes;
+    ctrl_ = std::make_unique<NvmeController>(ctrl_options);
+    nvme_ = std::make_unique<NvmeDevice>(ctrl_.get());
+    for (uint64_t i = 0; i < kDeviceBytes; i++) {
+      ctrl_->flash()[i] = PatternAt(i);  // straight onto the medium: no I/O counted
+    }
+  }
+
+  std::unique_ptr<Aquila> MakeRuntime() {
+    Aquila::Options options;
+    options.hypervisor.host_memory_bytes = 64ull << 20;
+    options.cache.capacity_pages = kCachePages;
+    options.cache.max_pages = kCachePages;
+    return std::make_unique<Aquila>(options);
+  }
+
+  static uint8_t PatternAt(uint64_t offset) { return static_cast<uint8_t>(offset * 131 + 17); }
+
+  std::unique_ptr<NvmeController> ctrl_;
+  std::unique_ptr<NvmeDevice> nvme_;
+};
+
+TEST_F(ReadaheadStreamTest, SequentialScanIsChannelBoundAndReadsEveryPageOnce) {
+  constexpr uint64_t kPages = 1024;
+  std::unique_ptr<Aquila> runtime = MakeRuntime();
+  ASSERT_FALSE(runtime->options().async_writeback);
+  DeviceBacking backing(nvme_.get(), 0, kPages * kPageSize);
+  StatusOr<MemoryMap*> map = runtime->Map(&backing, kPages * kPageSize, kProtRead);
+  ASSERT_TRUE(map.ok());
+  ASSERT_TRUE((*map)->Advise(0, kPages * kPageSize, Advice::kSequential).ok());
+  SimClock& clock = ThisVcpu().clock();
+  const uint64_t start = clock.Now();
+  const CostBreakdown before = clock.Breakdown();
+  for (uint64_t p = 0; p < kPages; p++) {
+    (*map)->TouchRead(p * kPageSize);
+  }
+  // Cache-management cycles are measured host time, which a sanitizer or a
+  // loaded machine inflates; the rest is the model's own charges and waits.
+  const uint64_t cycles =
+      clock.Now() - start - (clock.Breakdown() - before)[CostCategory::kCacheMgmt];
+  std::vector<uint8_t> buf(1);
+  for (uint64_t p = 0; p < kPages; p += 97) {
+    ASSERT_TRUE((*map)->Read(p * kPageSize + 5, std::span(buf)).ok());
+    ASSERT_EQ(buf[0], PatternAt(p * kPageSize + 5)) << "page " << p;
+  }
+  const FaultStats& stats = runtime->fault_stats();
+  // One stream start; every other page was prefetched, and no page was read
+  // twice.
+  EXPECT_EQ(stats.major_faults.load(), 1u);
+  EXPECT_EQ(stats.major_faults.load() + stats.readahead_pages.load(), kPages);
+  EXPECT_EQ(nvme_->stats().reads.load(), kPages);
+  // The stream waits on the channel, not on each command's latency.
+  EXPECT_LT(cycles / kPages, ctrl_->options().channel_cycles_per_4k * 3 / 2);
+  ASSERT_TRUE(runtime->Unmap(*map).ok());
+}
+
+TEST_F(ReadaheadStreamTest, FailedReadaheadFillPublishesNothingAndTheFaultRereads) {
+  FaultInjectingDevice::Options fault_options;
+  fault_options.fail_reads = {2};  // attempt 1 is page 0's demand read, 2 is page 1's fill
+  FaultInjectingDevice faults(nvme_.get(), fault_options);
+  std::unique_ptr<Aquila> runtime = MakeRuntime();
+  DeviceBacking backing(&faults, 0, 1 << 20);
+  StatusOr<MemoryMap*> map = runtime->Map(&backing, 1 << 20, kProtRead);
+  ASSERT_TRUE(map.ok());
+  ASSERT_TRUE((*map)->Advise(0, 1 << 20, Advice::kSequential).ok());
+  EXPECT_TRUE((*map)->TouchRead(0).faulted);
+  ASSERT_TRUE((*map)->Sync(0, kPageSize).ok());  // reap every fill
+  const FaultStats& stats = runtime->fault_stats();
+  EXPECT_EQ(faults.fault_stats().injected_read_errors.load(), 1u);
+  EXPECT_EQ(stats.readahead_pages.load(), runtime->options().readahead_pages - 1);
+  std::vector<uint8_t> buf(kPageSize);
+  ASSERT_TRUE((*map)->Read(kPageSize, std::span(buf)).ok());
+  EXPECT_EQ(stats.major_faults.load(), 2u);
+  for (uint64_t i = 0; i < kPageSize; i++) {
+    ASSERT_EQ(buf[i], PatternAt(kPageSize + i)) << "byte " << i;
+  }
+  ASSERT_TRUE(runtime->Unmap(*map).ok());
+}
+
+TEST_F(ReadaheadStreamTest, HungReadaheadFillIsAbortedAndTheFaultRereads) {
+  FaultInjectingDevice::Options fault_options;
+  fault_options.hang_reads = {2};  // attempt 1 is page 0's demand read, 2 is page 1's fill
+  FaultInjectingDevice faults(nvme_.get(), fault_options);
+  std::unique_ptr<Aquila> runtime = MakeRuntime();
+  ASSERT_EQ(runtime->options().device_op_timeout_us, 0u);  // no watchdog
+  DeviceBacking backing(&faults, 0, 1 << 20);
+  StatusOr<MemoryMap*> map = runtime->Map(&backing, 1 << 20, kProtRead);
+  ASSERT_TRUE(map.ok());
+  ASSERT_TRUE((*map)->Advise(0, 1 << 20, Advice::kSequential).ok());
+  EXPECT_TRUE((*map)->TouchRead(0).faulted);
+  // Page 1's fill never completes: the fault waits it out, aborts it once
+  // nothing else is in flight, and reads the page itself.
+  std::vector<uint8_t> buf(kPageSize);
+  ASSERT_TRUE((*map)->Read(kPageSize, std::span(buf)).ok());
+  for (uint64_t i = 0; i < kPageSize; i++) {
+    ASSERT_EQ(buf[i], PatternAt(kPageSize + i)) << "byte " << i;
+  }
+  EXPECT_EQ(faults.fault_stats().injected_hangs.load(), 1u);
+  EXPECT_EQ(runtime->fault_stats().major_faults.load(), 2u);
+  ASSERT_TRUE(runtime->Unmap(*map).ok());
+}
+
+TEST_F(ReadaheadStreamTest, TwoCoresScanningOneRangeReadEveryPageOnce) {
+  // Each core keeps its own stream mark, so a core that joins a stream
+  // re-arms over pages another core's window has in flight; those must not
+  // be read again. One core opens the stream on page 0 (its window stays in
+  // flight), then two fresh cores scan the whole range at once.
+  constexpr uint64_t kPages = 512;
+  std::unique_ptr<Aquila> runtime = MakeRuntime();
+  DeviceBacking backing(nvme_.get(), 0, kPages * kPageSize);
+  StatusOr<MemoryMap*> map = runtime->Map(&backing, kPages * kPageSize, kProtRead);
+  ASSERT_TRUE(map.ok());
+  ASSERT_TRUE((*map)->Advise(0, kPages * kPageSize, Advice::kSequential).ok());
+  std::atomic<bool> corrupt{false};
+  auto scan = [&](uint64_t pages) {
+    runtime->EnterThread();
+    for (uint64_t p = 0; p < pages; p++) {
+      if ((*map)->LoadValue<uint8_t>(p * kPageSize + 9) != PatternAt(p * kPageSize + 9)) {
+        corrupt.store(true);
+      }
+    }
+  };
+  std::thread opener(scan, 1);
+  opener.join();
+  std::thread first(scan, kPages);
+  std::thread second(scan, kPages);
+  first.join();
+  second.join();
+  EXPECT_FALSE(corrupt.load());
+  ASSERT_TRUE((*map)->Sync(0, kPages * kPageSize).ok());  // reap every fill
+  const FaultStats& stats = runtime->fault_stats();
+  EXPECT_EQ(nvme_->stats().reads.load(), kPages);
+  EXPECT_EQ(stats.major_faults.load() + stats.readahead_pages.load(), kPages);
+  ASSERT_TRUE(runtime->Unmap(*map).ok());
+}
 
 }  // namespace
 }  // namespace aquila

@@ -9,6 +9,7 @@
 #include "src/core/aquila.h"
 #include "src/core/mmio_region.h"
 #include "src/kvs/lsm_db.h"
+#include "src/storage/device_queue.h"
 #include "src/storage/pmem_device.h"
 #include "src/util/rng.h"
 
@@ -236,6 +237,56 @@ TEST(LsmEdgeTest, EmptyDbAndEmptyValueBehave) {
   ASSERT_TRUE((*db)->Delete("never-existed").ok());
   ASSERT_TRUE((*db)->Get("never-existed", &value, &found).ok());
   EXPECT_FALSE(found);
+}
+
+// A queueing device whose queue accepts every command and never completes
+// one, while claiming something is ready: a wait on it can neither reap nor
+// advance the clock.
+class NeverCompletingQueue : public DeviceQueue {
+ public:
+  explicit NeverCompletingQueue(uint32_t depth) : DeviceQueue(depth) {}
+  const char* name() const override { return "never"; }
+  uint64_t io_alignment() const override { return 1; }
+  Status SubmitRead(Vcpu& vcpu, uint64_t, std::span<uint8_t>, uint64_t) override {
+    NoteSubmit();
+    return Status::Ok();
+  }
+  Status SubmitWrite(Vcpu& vcpu, uint64_t, std::span<const uint8_t>, uint64_t) override {
+    NoteSubmit();
+    return Status::Ok();
+  }
+  uint32_t Poll(Vcpu&, std::vector<Completion>*) override { return 0; }
+  uint64_t NextReadyAt() const override { return 0; }
+};
+
+class NeverCompletingDevice : public PmemDevice {
+ public:
+  using PmemDevice::PmemDevice;
+  bool supports_queueing() const override { return true; }
+  std::unique_ptr<DeviceQueue> CreateQueue(uint32_t depth) override {
+    return std::make_unique<NeverCompletingQueue>(depth);
+  }
+};
+
+TEST(EngineWaitDeathTest, AwaitFillOnAStuckQueueDumpsSlotsAndFails) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        PmemDevice::Options dev_options;
+        dev_options.capacity_bytes = 4ull << 20;
+        NeverCompletingDevice device(dev_options);
+        DeviceBacking backing(&device, 0, device.capacity_bytes());
+        Aquila::Options options;
+        options.cache.capacity_pages = 256;
+        options.cache.max_pages = 1024;
+        Aquila runtime(options);
+        StatusOr<MemoryMap*> map = runtime.Map(&backing, 1 << 20, kProtRead);
+        AQUILA_CHECK(map.ok());
+        AQUILA_CHECK((*map)->Advise(0, 1 << 20, Advice::kSequential).ok());
+        (void)(*map)->TouchRead(0);          // major fault; readahead fills queue up
+        (void)(*map)->TouchRead(kPageSize);  // waits on a fill that never lands
+      },
+      "AwaitFill made no progress in 1000 steps(.|\n)*slot [0-9]+: kind=fill key=0x");
 }
 
 }  // namespace

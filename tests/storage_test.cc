@@ -436,6 +436,25 @@ TEST_F(DeviceQueueTest, NvmeQueueOverlapsCommands) {
   EXPECT_LT(queued_vcpu.clock().Now() * 2, sync_vcpu.clock().Now());
 }
 
+TEST_F(DeviceQueueTest, NvmeQueueCountsCompletedCommandsInDeviceStats) {
+  // Queued I/O is counted once at the device it crosses, like the
+  // synchronous wrappers: one read and one write move reads/writes by 1.
+  auto queue = nvme_->CreateQueue(4);
+  std::vector<uint8_t> buf(kPageSize, 0x5A);
+  const DeviceStats& stats = nvme_->stats();
+  ASSERT_TRUE(queue->SubmitWrite(vcpu_, 0, std::span<const uint8_t>(buf), 1).ok());
+  std::vector<DeviceQueue::Completion> completions;
+  ASSERT_TRUE(queue->Drain(vcpu_, &completions).ok());
+  EXPECT_EQ(stats.writes.load(), 1u);
+  EXPECT_EQ(stats.bytes_written.load(), kPageSize);
+  EXPECT_EQ(stats.reads.load(), 0u);
+  ASSERT_TRUE(queue->SubmitRead(vcpu_, 0, std::span(buf), 2).ok());
+  ASSERT_TRUE(queue->Drain(vcpu_, &completions).ok());
+  EXPECT_EQ(stats.reads.load(), 1u);
+  EXPECT_EQ(stats.bytes_read.load(), kPageSize);
+  EXPECT_EQ(stats.writes.load(), 1u);
+}
+
 TEST_F(DeviceQueueTest, FullQueueReturnsOutOfSpace) {
   auto queue = nvme_->CreateQueue(2);
   std::vector<uint8_t> buf(kPageSize);
