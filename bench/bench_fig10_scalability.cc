@@ -34,16 +34,17 @@ struct RunResult {
   // the broadcast-vs-mask+gen comparison in EXPERIMENTS.md is measured on.
   double shootdown_cyc_per_op = 0;
   // Aquila only: victims claimed per clock sweep (PageCache::Stats
-  // evictions / clock_sweeps) and pages freed per eviction batch
-  // (FaultStats evicted_pages / evict_batches). An eviction batch asks
-  // SelectVictims for eviction_batch victims, so a low first ratio means
-  // sweeps that end short; the gap between the two is claimed victims the
-  // batch handed back (a fault in flight held the page's entry lock).
+  // evictions / clock_sweeps: a full eviction batch's SelectVictims call,
+  // or a kSweepChunk stretch drawn for the per-fault slices) and pages freed
+  // per reclaim flush (FaultStats evicted_pages / evict_batches). A low
+  // first ratio means sweeps that end short or stretches mostly referenced.
   double victims_per_sweep = 0;
   double freed_per_batch = 0;
-  // Aquila only: simulated cycles inside EvictBatch (sweep through frame
-  // release, shootdown included) per page it freed.
+  // Aquila only: simulated reclaim cycles billed to faults (slices, pending
+  // flushes and full batches: sweep through frame release, shootdown
+  // included) per page freed, and the largest bill any one fault paid.
   double evict_cycles_per_victim = 0;
+  double max_fault_reclaim_us = 0;
 };
 
 // `maps[t]` is the mapping thread t reads from (all equal for shared mode).
@@ -111,13 +112,15 @@ std::string JsonRow(const char* layout, int threads, const RunResult& linux_resu
                 "\"mmap_avg_us\": %.2f, \"mmap_p99_us\": %.2f, \"mmap_p999_us\": %.2f, "
                 "\"aquila_mops\": %.3f, \"aquila_avg_us\": %.2f, \"aquila_p99_us\": %.2f, "
                 "\"aquila_p999_us\": %.2f, \"shootdown_cycles_per_op\": %.2f, "
-                "\"victims_per_sweep\": %.1f, \"freed_per_batch\": %.1f, "
+                "\"victims_per_sweep\": %.1f, \"max_fault_reclaim_us\": %.2f, "
+                "\"freed_per_batch\": %.1f, "
                 "\"evict_cycles_per_victim\": %.1f, \"speedup\": %.2f}",
                 layout, threads, linux_result.mops, linux_result.avg_us, linux_result.p99_us,
                 linux_result.p999_us, aquila_result.mops, aquila_result.avg_us,
                 aquila_result.p99_us, aquila_result.p999_us, aquila_result.shootdown_cyc_per_op,
-                aquila_result.victims_per_sweep, aquila_result.freed_per_batch,
-                aquila_result.evict_cycles_per_victim, aquila_result.mops / linux_result.mops);
+                aquila_result.victims_per_sweep, aquila_result.max_fault_reclaim_us,
+                aquila_result.freed_per_batch, aquila_result.evict_cycles_per_victim,
+                aquila_result.mops / linux_result.mops);
   return buf;
 }
 
@@ -131,9 +134,10 @@ void RunCase(BenchJsonWriter& json, const char* section, const char* title, bool
   // (the paper's dataset is far larger than any run's access count).
   uint64_t ops = smoke ? 600 : Scaled(1800);
 
-  std::printf("%-8s %-8s | %10s %9s %9s %9s | %10s %9s %9s %9s %10s %9s %9s %9s | %7s\n",
-              "layout", "threads", "mmap-Mops", "avg-us", "p99", "p99.9", "aqla-Mops", "avg-us",
-              "p99", "p99.9", "sd-cyc/op", "vict/swp", "freed/bt", "evc/vict", "speedup");
+  std::printf(
+      "%-8s %-8s | %10s %9s %9s %9s | %10s %9s %9s %9s %10s %9s %9s %9s %9s | %7s\n", "layout",
+      "threads", "mmap-Mops", "avg-us", "p99", "p99.9", "aqla-Mops", "avg-us", "p99", "p99.9",
+      "sd-cyc/op", "vict/swp", "rcl-max", "freed/bt", "evc/vict", "speedup");
   for (const char* layout : {"shared", "private"}) {
     bool shared = std::string(layout) == "shared";
     for (int threads : thread_counts) {
@@ -204,6 +208,9 @@ void RunCase(BenchJsonWriter& json, const char* section, const char* title, bool
           aquila_result.evict_cycles_per_victim =
               static_cast<double>(cache_stats.evict_cycles.load()) / static_cast<double>(freed);
         }
+        aquila_result.max_fault_reclaim_us =
+            static_cast<double>(runtime->cache().max_fault_evict_cycles()) /
+            static_cast<double>(GlobalCostModel().cycles_per_us);
         for (MemoryMap* map : maps) {
           if (map != nullptr) {
             (void)runtime->Unmap(map);
@@ -216,13 +223,14 @@ void RunCase(BenchJsonWriter& json, const char* section, const char* title, bool
         }
       }
       std::printf(
-          "%-8s %-8d | %10.3f %9.2f %9.2f %9.2f | %10.3f %9.2f %9.2f %9.2f %10.2f %9.1f %9.1f "
-          "%9.1f | %6.2fx\n",
+          "%-8s %-8d | %10.3f %9.2f %9.2f %9.2f | %10.3f %9.2f %9.2f %9.2f %10.2f %9.1f %9.2f "
+          "%9.1f %9.1f | %6.2fx\n",
           layout, threads, linux_result.mops, linux_result.avg_us, linux_result.p99_us,
           linux_result.p999_us, aquila_result.mops, aquila_result.avg_us, aquila_result.p99_us,
           aquila_result.p999_us, aquila_result.shootdown_cyc_per_op,
-          aquila_result.victims_per_sweep, aquila_result.freed_per_batch,
-          aquila_result.evict_cycles_per_victim, aquila_result.mops / linux_result.mops);
+          aquila_result.victims_per_sweep, aquila_result.max_fault_reclaim_us,
+          aquila_result.freed_per_batch, aquila_result.evict_cycles_per_victim,
+          aquila_result.mops / linux_result.mops);
       json.AddRow(JsonRow(layout, threads, linux_result, aquila_result));
     }
   }

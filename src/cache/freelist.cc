@@ -338,4 +338,21 @@ uint64_t TwoLevelFreelist::ApproxFree() const {
   return free > 0 ? static_cast<uint64_t>(free) : 0;
 }
 
+uint64_t TwoLevelFreelist::ReachableFree(int core) const {
+  uint64_t free = core_queues_[core].ApproxSize();
+  for (const FrameStack& q : numa_queues_) {
+    free += q.ApproxSize();
+  }
+  if (options_.carve_runs) {
+    uint64_t intact = 0;
+    for (const FrameStack& q : run_queues_) {
+      intact += q.ApproxSize();
+    }
+    if (intact > options_.reserve_runs) {
+      free += (intact - options_.reserve_runs) * kRunFrames;
+    }
+  }
+  return free;
+}
+
 }  // namespace aquila

@@ -202,6 +202,10 @@ class TwoLevelFreelist {
   const Stats& stats() const { return stats_; }
   // Frames on the queues: exact when quiescent, never above capacity.
   uint64_t ApproxFree() const;
+  // Frames `core` can allocate without another core freeing first: its own
+  // queue, every NUMA queue, and the intact runs past the reserve that
+  // PopFrame may break. Approximate, like the queue sizes it sums.
+  uint64_t ReachableFree(int core) const;
 
  private:
   void AddSingles(FrameId first, uint32_t count);

@@ -7,6 +7,14 @@
 
 namespace aquila {
 
+namespace {
+
+// Slots past a sweep cursor that NextCandidates prefetches for its next
+// call: about the slots one call visits.
+constexpr uint64_t kCandidatePrefetch = 4;
+
+}  // namespace
+
 PageCache::PageCache(Hypervisor* hypervisor, int guest, Vcpu& vcpu, const Options& options)
     : hypervisor_(hypervisor),
       guest_(guest),
@@ -150,17 +158,8 @@ size_t PageCache::SelectVictims(size_t max, FrameId* out) {
     step += chunk;
     for (uint64_t i = 0; i < chunk; i++, slot = (slot + 1 == total) ? 0 : slot + 1) {
       Frame& f = frames_[slot];
-      FrameState state = f.state.load(std::memory_order_acquire);
-      if (state != FrameState::kResident) {
+      if (!SweepSlot(f)) {
         continue;
-      }
-      // Read the bit and write it only when set: an unconditional exchange
-      // would dirty every resident slot's line the sweep passes. A fault
-      // that sets the bit between the load and the store loses one second
-      // chance, which the clock approximation tolerates.
-      if (f.referenced.load(std::memory_order_relaxed) != 0) {
-        f.referenced.store(0, std::memory_order_relaxed);
-        continue;  // second chance
       }
       AQUILA_RACE_POINT("page_cache.sweep.pre_claim");
       FrameState expected = FrameState::kResident;
@@ -172,6 +171,71 @@ size_t PageCache::SelectVictims(size_t max, FrameId* out) {
   }
   stats_.evictions.fetch_add(n, std::memory_order_relaxed);
   return n;
+}
+
+bool PageCache::SweepSlot(Frame& f) {
+  if (f.state.load(std::memory_order_acquire) != FrameState::kResident) {
+    return false;
+  }
+  // Read the bit and write it only when set: an unconditional exchange
+  // would dirty every resident slot's line the sweep passes. A fault that
+  // sets the bit between the load and the store loses one second chance,
+  // which the clock approximation tolerates.
+  if (f.referenced.load(std::memory_order_relaxed) != 0) {
+    f.referenced.store(0, std::memory_order_relaxed);
+    return false;  // second chance
+  }
+  return true;
+}
+
+size_t PageCache::NextCandidates(SweepCursor* cursor, size_t max, uint64_t max_steps,
+                                 FrameId* out, uint64_t* dirty_passed) {
+  uint64_t total = total_frames_.load(std::memory_order_acquire);
+  if (total == 0) {
+    return 0;
+  }
+  size_t n = 0;
+  for (uint64_t step = 0; step < max_steps && n < max; step++) {
+    if (cursor->left == 0) {
+      stats_.clock_sweeps.fetch_add(1, std::memory_order_relaxed);
+      cursor->slot = clock_hand_.fetch_add(kSweepChunk, std::memory_order_relaxed) % total;
+      cursor->left = kSweepChunk;
+    }
+    const uint64_t slot = cursor->slot;
+    cursor->slot = (slot + 1 == total) ? 0 : slot + 1;
+    cursor->left--;
+    Frame& f = frames_[slot];
+    if (!SweepSlot(f)) {
+      continue;
+    }
+    if (f.dirty.load(std::memory_order_relaxed) != 0) {
+      (*dirty_passed)++;
+    } else {
+      out[n++] = static_cast<FrameId>(slot);
+    }
+  }
+  // The next call starts at the cursor: request its first slots now, so
+  // that call does not stall on them.
+  for (uint64_t i = 0; i < std::min<uint64_t>(cursor->left, kCandidatePrefetch); i++) {
+    PrefetchForWrite(&frames_[(cursor->slot + i) % total]);
+  }
+  return n;
+}
+
+bool PageCache::ClaimCandidate(FrameId id) {
+  Frame& f = frames_[id];
+  AQUILA_RACE_POINT("page_cache.sweep.pre_claim");
+  FrameState expected = FrameState::kResident;
+  if (!f.state.compare_exchange_strong(expected, FrameState::kEvicting,
+                                       std::memory_order_acq_rel)) {
+    return false;
+  }
+  if (f.referenced.load(std::memory_order_relaxed) != 0) {
+    f.state.store(FrameState::kResident, std::memory_order_release);
+    return false;
+  }
+  stats_.evictions.fetch_add(1, std::memory_order_relaxed);
+  return true;
 }
 
 void PageCache::MarkDirty(int core, FrameId id, uint64_t sort_key) {

@@ -107,7 +107,7 @@ class PageCache {
     ShardedCounter lookup_hits;
     ShardedCounter evictions;
     ShardedCounter clock_sweeps;
-    // Simulated cycles of whole eviction batches: sweep, reclaim,
+    // Simulated cycles of reclaim billed to faults: sweep, reclaim,
     // writeback, shootdown and frame release (NoteEvictCycles).
     ShardedCounter evict_cycles;
   };
@@ -176,10 +176,39 @@ class PageCache {
   // the claim CAS for a victim.
   size_t SelectVictims(size_t max, FrameId* out);
   static constexpr uint64_t kSweepChunk = 64;
-  // Charges one eviction batch's simulated cycles to Stats::evict_cycles;
-  // the fault path's EvictBatch calls it once per batch.
+  // One core's private stretch of the clock: NextCandidates draws
+  // kSweepChunk slots at a time from the shared hand into it, so a sweep
+  // that wants one victim per fault does not bounce the hand's line per
+  // slot. Owned by its caller (guarded by the caller's lock).
+  struct SweepCursor {
+    uint64_t slot = 0;
+    uint64_t left = 0;  // slots of the drawn chunk not yet visited
+  };
+  // The same clock step over `cursor`'s stretch, but it claims nothing:
+  // returns up to `max` unreferenced, clean resident frames found within
+  // `max_steps` slots — candidates a later ClaimCandidate re-validates.
+  // Unreferenced dirty frames are passed over for the batch path to write
+  // back, and counted into `*dirty_passed`. Prefetches the stretch's next
+  // slots for the following call.
+  size_t NextCandidates(SweepCursor* cursor, size_t max, uint64_t max_steps, FrameId* out,
+                        uint64_t* dirty_passed);
+  // Claims a candidate (kResident -> kEvicting) unless it left the resident
+  // state or was referenced since NextCandidates passed it (then it keeps
+  // its second chance). Counts a claimed victim like SelectVictims.
+  bool ClaimCandidate(FrameId id);
+  // Bills one fault's reclaim cycles to Stats::evict_cycles and to the
+  // per-fault maximum; the fault path calls it once per fault that
+  // reclaimed.
   void NoteEvictCycles(uint64_t cycles) {
     stats_.evict_cycles.fetch_add(cycles, std::memory_order_relaxed);
+    uint64_t seen = max_fault_evict_cycles_.load(std::memory_order_relaxed);
+    while (seen < cycles && !max_fault_evict_cycles_.compare_exchange_weak(
+                                seen, cycles, std::memory_order_relaxed)) {
+    }
+  }
+  // The largest reclaim bill one fault paid (NoteEvictCycles).
+  uint64_t max_fault_evict_cycles() const {
+    return max_fault_evict_cycles_.load(std::memory_order_relaxed);
   }
 
   // --- Dirty tracking --------------------------------------------------------------
@@ -208,12 +237,16 @@ class PageCache {
   const Stats& stats() const { return stats_; }
   const TwoLevelFreelist::Stats& freelist_stats() const { return freelist_.stats(); }
   uint64_t ApproxFreeFrames() const { return freelist_.ApproxFree(); }
+  uint64_t ReachableFreeFrames(int core) const { return freelist_.ReachableFree(core); }
 
  private:
   // Clears a frame's identity and shootdown-routing state and marks it
   // kFree; the caller's freelist push is the release edge that publishes it
   // (see the ordering contract in FreeFrame).
   void ResetForFree(Frame& f);
+  // One clock step: true when `f` is resident and unreferenced. A set
+  // reference bit is cleared on the way: the frame's second chance.
+  static bool SweepSlot(Frame& f);
 
   struct GpaRange {
     uint64_t base_gpa = 0;      // guarded-by: immutable after Grow publishes the range
@@ -236,6 +269,8 @@ class PageCache {
   // share that line.
   alignas(kCacheLineSize) std::atomic<uint64_t> clock_hand_{0};
   Stats stats_;
+  // Written only when it grows, so its line stays shared.
+  std::atomic<uint64_t> max_fault_evict_cycles_{0};
   SpinLock grow_lock_;
   std::vector<std::unique_ptr<GpaRange>> ranges_;
   // Last member: callbacks read stats_/freelist_, so they unregister first.

@@ -2,13 +2,18 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
+#include <mutex>
 
 #include "src/core/mmio_region.h"
 #include "src/core/sched.h"
 #include "src/core/trap_driver.h"
+#include "src/telemetry/scoped_timer.h"
 #include "src/telemetry/span.h"
 #include "src/telemetry/stats_server.h"
 #include "src/util/bitops.h"
+#include "src/util/logging.h"
+#include "src/util/race_injector.h"
 
 namespace aquila {
 
@@ -31,6 +36,7 @@ Aquila::Aquila(const Options& options)
     options_.cache.freelist.reserve_runs = 1;
   }
   cache_ = std::make_unique<PageCache>(&hypervisor_, guest_, ThisVcpu(), options_.cache);
+  pending_ = std::make_unique<PendingReclaim[]>(CoreRegistry::kMaxCores);
 
   metrics_.AddCounter("aquila.core.major_faults", fault_stats_.major_faults);
   metrics_.AddCounter("aquila.core.minor_faults", fault_stats_.minor_faults);
@@ -40,6 +46,9 @@ Aquila::Aquila(const Options& options)
   metrics_.AddCounter("aquila.core.writeback_pages", fault_stats_.writeback_pages);
   metrics_.AddCounter("aquila.core.readahead_pages", fault_stats_.readahead_pages);
   metrics_.AddCounter("aquila.core.writeback_errors", fault_stats_.writeback_errors);
+  metrics_.AddCounter("aquila.cache.direct_reclaims", fault_stats_.direct_reclaims);
+  metrics_.AddGauge("aquila.cache.pending_reclaim_frames",
+                    [this] { return PendingReclaimFrames(); });
   metrics_.Add("aquila.tlb.hits", telemetry::MetricKind::kCounter,
                [this] { return tlb_.hits(); });
   metrics_.Add("aquila.tlb.misses", telemetry::MetricKind::kCounter,
@@ -143,6 +152,138 @@ void Aquila::ShootdownPages(Vcpu& vcpu, std::span<const PageShootdown> pages) {
     tlb_.Shootdown(vcpu.clock(), vcpu.core(), active_cores(), pages.subspan(i, n),
                    fabric_, options_.shootdown_mask_mode);
   }
+}
+
+size_t Aquila::FinishReclaim(Vcpu& vcpu, const ReclaimBatch& batch, FreeLevel level) {
+  // One batched shootdown for the whole batch (§4.1); the masked path
+  // splits it into per-victim-core coalesced IPIs and elides cores that
+  // never mapped any page of the batch. Frames free only after it.
+  ShootdownPages(vcpu, batch.vpns);
+  AQUILA_RACE_POINT("reclaim.flush.pre_free");
+  // One chain push per queue level. kCoreFirst: the freeing core's queue
+  // refills first (its thread allocates next), the rest goes to the NUMA
+  // level.
+  cache_->FreeFrames(vcpu.core(), batch.to_free, level, batch.stamps);
+  return batch.to_free.size();
+}
+
+size_t Aquila::FlushPendingLocked(Vcpu& vcpu, PendingReclaim& pending, FreeLevel level) {
+  ReclaimBatch& batch = pending.batch;
+  if (batch.to_free.empty()) {
+    return 0;
+  }
+  AQUILA_DCHECK(batch.planner.empty() && batch.stamps.empty());
+  const uint64_t start = vcpu.clock().Now();
+  telemetry::ChildSpan evict_span(vcpu.clock(), telemetry::SpanPhase::kEvict,
+                                  batch.to_free.size());
+  const size_t freed = FinishReclaim(vcpu, batch, level);
+  batch.vpns.clear();
+  batch.to_free.clear();
+  pending.frames.store(0, std::memory_order_relaxed);
+  NoteReclaimFlush(vcpu, start, freed);
+  return freed;
+}
+
+void Aquila::NoteReclaimFlush(Vcpu& vcpu, uint64_t start, size_t freed) {
+  fault_stats_.evict_batches.fetch_add(1, std::memory_order_relaxed);
+  fault_stats_.evicted_pages.fetch_add(freed, std::memory_order_relaxed);
+#if AQUILA_TELEMETRY_ENABLED
+  static Histogram* evict_batch =
+      telemetry::Registry().GetHistogram("aquila.core.evict_batch_cycles");
+  telemetry::RecordSpanSince(evict_batch, vcpu.clock(), start);
+#else
+  (void)vcpu;
+  (void)start;
+#endif
+}
+
+size_t Aquila::FlushPendingForAlloc(Vcpu& vcpu) {
+  // This core's batch first. Failing that, steal: a core whose thread
+  // stopped faulting (or exited; threads never unregister) may still hold
+  // one. Its frames free into this core's queue, where the retry finds them.
+  for (int i = 0; i < CoreRegistry::kMaxCores; i++) {
+    PendingReclaim& pending = pending_[(vcpu.core() + i) % CoreRegistry::kMaxCores];
+    if (pending.frames.load(std::memory_order_relaxed) == 0) {
+      continue;
+    }
+    if (i > 0) {
+      AQUILA_RACE_POINT("reclaim.steal.pre_lock");
+    }
+    std::lock_guard<SpinLock> guard(pending.lock);
+    if (size_t freed = FlushPendingLocked(vcpu, pending, FreeLevel::kCoreFirst); freed > 0) {
+      return freed;
+    }
+  }
+  return 0;
+}
+
+size_t Aquila::FlushPendingReclaim() {
+  Vcpu& vcpu = ThisVcpu();
+  size_t freed = 0;
+  for (int core = 0; core < CoreRegistry::kMaxCores; core++) {
+    PendingReclaim& pending = pending_[core];
+    if (pending.frames.load(std::memory_order_relaxed) == 0) {
+      continue;
+    }
+    std::lock_guard<SpinLock> guard(pending.lock);
+    freed += FlushPendingLocked(vcpu, pending, FreeLevel::kNuma);
+  }
+  return freed;
+}
+
+uint64_t Aquila::PendingReclaimFrames(int core) const {
+  return pending_[core].frames.load(std::memory_order_relaxed);
+}
+
+uint64_t Aquila::PendingReclaimFrames() const {
+  uint64_t total = 0;
+  for (int core = 0; core < CoreRegistry::kMaxCores; core++) {
+    total += PendingReclaimFrames(core);
+  }
+  return total;
+}
+
+bool Aquila::FindPendingReclaim(uint64_t vpn, PageShootdown* row, FrameId* frame) const {
+  for (int core = 0; core < CoreRegistry::kMaxCores; core++) {
+    const ReclaimBatch& batch = pending_[core].batch;
+    // Clean victims only: vpns[i] is the translation of to_free[i].
+    for (size_t i = 0; i < batch.vpns.size(); i++) {
+      if (batch.vpns[i].vpn == vpn) {
+        *row = batch.vpns[i];
+        *frame = batch.to_free[i];
+        return true;
+      }
+    }
+  }
+  return false;
+}
+
+void Aquila::FailAllocNoProgress(Vcpu& vcpu, uint64_t rounds) {
+  const TwoLevelFreelist::Stats& fl = cache_->freelist_stats();
+  AQUILA_LOG(ERROR,
+             "frame allocation made no progress in %llu rounds (core %d): approx_free=%llu "
+             "reachable_free=%llu freelist core_hits=%llu numa_hits=%llu remote_hits=%llu "
+             "batch_moves=%llu parked=%lld",
+             static_cast<unsigned long long>(rounds), vcpu.core(),
+             static_cast<unsigned long long>(cache_->ApproxFreeFrames()),
+             static_cast<unsigned long long>(cache_->ReachableFreeFrames(vcpu.core())),
+             static_cast<unsigned long long>(fl.core_hits.load()),
+             static_cast<unsigned long long>(fl.numa_hits.load()),
+             static_cast<unsigned long long>(fl.remote_hits.load()),
+             static_cast<unsigned long long>(fl.batch_moves.load()),
+             static_cast<long long>(
+                 sched_ != nullptr ? sched_->parked_depth.load(std::memory_order_relaxed) : 0));
+  // Every core's pending batch; a core past the registered ones is listed
+  // only when it holds frames (tests pin core ids without registering).
+  for (int core = 0; core < CoreRegistry::kMaxCores; core++) {
+    const uint64_t pending = PendingReclaimFrames(core);
+    if (core < CoreRegistry::RegisteredCores() || pending > 0) {
+      AQUILA_LOG(ERROR, "  core %d: pending_reclaim=%llu", core,
+                 static_cast<unsigned long long>(pending));
+    }
+  }
+  AQUILA_CHECK(!"frame allocation loop made no progress");
+  std::abort();
 }
 
 ReuseStamp Aquila::DeferPageShootdown(const PageShootdown& page, uint64_t region,

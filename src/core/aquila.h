@@ -16,12 +16,15 @@
 #ifndef AQUILA_SRC_CORE_AQUILA_H_
 #define AQUILA_SRC_CORE_AQUILA_H_
 
+#include <array>
+#include <atomic>
 #include <functional>
 #include <memory>
 #include <vector>
 
 #include "src/cache/page_cache.h"
 #include "src/core/mmio.h"
+#include "src/core/writeback.h"
 #include "src/mem/page_table.h"
 #include "src/mem/tlb.h"
 #include "src/telemetry/metrics.h"
@@ -84,13 +87,52 @@ struct FaultStats {
   ShardedCounter major_faults;    // page read from the device
   ShardedCounter minor_faults;    // page was in cache, mapping installed
   ShardedCounter write_upgrades;  // write fault on a read-only mapping
-  ShardedCounter evict_batches;
+  ShardedCounter evict_batches;  // shootdown-and-free flushes of reclaimed pages
   ShardedCounter evicted_pages;
+  // Full eviction batches a fault ran itself (EvictBatch): a dry
+  // allocation's fallback when no pending batch had frames to flush, or the
+  // write-back of cold dirty frames the slices passed over.
+  ShardedCounter direct_reclaims;
   ShardedCounter writeback_pages;
   ShardedCounter readahead_pages;
   // Writeback batches that failed after the device's retry budget. Feeds
   // the per-mapping degradation counter (Options::writeback_failure_limit).
   ShardedCounter writeback_errors;
+};
+
+// A reclaim batch between claim and free: victims' translations and frames
+// wait here for one batched shootdown (§3.2, §4.1), dirty victims for the
+// offset-sorted writeback that must precede it.
+struct ReclaimBatch {
+  WritebackPlanner planner;             // dirty victims
+  std::vector<PageShootdown> vpns;      // translations to shoot down
+  std::vector<FrameId> to_free;         // freed only after the shootdown
+  // stamps[i] is to_free[i]'s last-owner stamp (a deferred shootdown);
+  // entries past its end carry none.
+  std::vector<ReuseStamp> stamps;
+};
+
+// One core's pay-as-you-go reclaim state (DESIGN.md §5). Faults on the core
+// reclaim clean victims a slice at a time into `batch`; the frames stay
+// kEvicting and out of the hash until the batch is flushed by one shootdown
+// and one FreeFrames. Any core may flush it under `lock`: a dry allocator
+// steals the batches of cores that stopped faulting. Lock order: a fault
+// takes `lock` while holding its page's entry lock, so with `lock` held
+// entry locks are only ever try-locked.
+struct alignas(kCacheLineSize) PendingReclaim {
+  static constexpr size_t kMaxCandidates = 2;
+  SpinLock lock;
+  // batch.to_free.size(), readable without the lock.
+  std::atomic<uint32_t> frames{0};
+  ReclaimBatch batch;  // guarded-by: lock; clean victims only (no planner items)
+  // The core's stretch of the clock and the victims it chose one fault
+  // ahead (unclaimed; their lines prefetched for the next slice).
+  PageCache::SweepCursor sweep;                        // guarded-by: lock
+  std::array<FrameId, kMaxCandidates> candidates{};    // guarded-by: lock
+  size_t candidate_count = 0;                          // guarded-by: lock
+  // Cold dirty frames the sweep passed over since this core last ran the
+  // batch path, which is where they are written back.
+  uint64_t dirty_passed = 0;  // guarded-by: lock
 };
 
 class Aquila : public MmioEngine {
@@ -223,6 +265,19 @@ class Aquila : public MmioEngine {
   Status GrowCache(uint64_t add_bytes);
   StatusOr<uint64_t> ShrinkCache(uint64_t remove_bytes);
 
+  // --- Pay-as-you-go reclaim (DESIGN.md §5) ---------------------------------
+  // Frames reclaimed into pending batches and not yet freed: all cores, or
+  // one. Approximate while faults run.
+  uint64_t PendingReclaimFrames() const;
+  uint64_t PendingReclaimFrames(int core) const;
+  // Flushes every core's pending batch (shootdown, then the frames go to the
+  // NUMA level, reachable from every core). Returns frames freed. Unmap runs
+  // it; tests use it to quiesce.
+  size_t FlushPendingReclaim();
+  // Test introspection at quiesce: true when some pending batch holds `vpn`;
+  // fills the batch's shootdown row and the frame it will free.
+  bool FindPendingReclaim(uint64_t vpn, PageShootdown* row, FrameId* frame) const;
+
   // Reaps ready async writeback/fill completions across every mapping;
   // returns the number of frames released to the freelist. No-op (returns 0)
   // when async writeback is off. See HarvestMode for the idle behavior.
@@ -291,6 +346,34 @@ class Aquila : public MmioEngine {
  private:
   friend class AquilaMap;
 
+  // One batched shootdown for the batch, then the frees at `level`. Call
+  // after planner.SubmitReclaim. Returns frames freed.
+  size_t FinishReclaim(Vcpu& vcpu, const ReclaimBatch& batch, FreeLevel level);
+  PendingReclaim& pending_reclaim(int core) { return pending_[core]; }
+  // Flushes `pending` (its lock held by the caller) and empties it: one
+  // shootdown, one FreeFrames, one evict_batch sample. Returns frames freed.
+  size_t FlushPendingLocked(Vcpu& vcpu, PendingReclaim& pending, FreeLevel level);
+  // Counts one reclaim flush of `freed` frames begun at `start` (simulated
+  // cycles) and records its evict_batch_cycles sample: once per flush,
+  // never per slice.
+  void NoteReclaimFlush(Vcpu& vcpu, uint64_t start, size_t freed);
+  // A dry allocator's reclaim before it evicts a full batch itself: flushes
+  // its own core's pending batch, or else steals the first other core's
+  // non-empty one. Returns frames freed to this core.
+  size_t FlushPendingForAlloc(Vcpu& vcpu);
+  // Pay-as-you-go reclaim starts at the first allocation that finds every
+  // reachable queue empty: a cache that never ran dry has no eviction to
+  // spread, and reclaiming ahead of it would only shrink it.
+  bool reclaim_ahead() const { return reclaim_ahead_.load(std::memory_order_relaxed); }
+  void NoteAllocatorDry() {
+    if (!reclaim_ahead()) {
+      reclaim_ahead_.store(true, std::memory_order_relaxed);
+    }
+  }
+  // The allocation loop's bounded-progress failure: dumps the freelist, the
+  // pending batches and the parked table, then fails.
+  [[noreturn]] void FailAllocNoProgress(Vcpu& vcpu, uint64_t rounds);
+
   Options options_;
   Hypervisor hypervisor_;
   int guest_;
@@ -302,6 +385,8 @@ class Aquila : public MmioEngine {
   std::unique_ptr<PageCache> cache_;
   FaultStats fault_stats_;
   HugeStats huge_stats_;
+  std::unique_ptr<PendingReclaim[]> pending_;  // one per core (kMaxCores)
+  std::atomic<bool> reclaim_ahead_{false};
 
   SpinLock maps_lock_;
   std::vector<std::unique_ptr<AquilaMap>> maps_;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <array>
 #include <cstring>
+#include <mutex>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -21,6 +23,37 @@ namespace {
 // that the lines are still cached. 8 and 16 measure the same.
 constexpr size_t kReclaimPrefetchAhead = 8;
 
+// Pay-as-you-go reclaim (DESIGN.md §5). A slice reclaims at most this many
+// victims: one per fault holds the supply level, two catch up.
+constexpr size_t kSliceVictims = PendingReclaim::kMaxCandidates;
+// Clock slots one slice's sweep may visit looking for clean candidates.
+constexpr uint64_t kCandidateSteps = 16;
+// A dry allocation that neither gains a frame nor frees one for this many
+// rounds in a row reports the allocator state and fails.
+constexpr uint64_t kAllocNoProgressRounds = 1u << 17;
+
+// A pending batch flushes at `bound` frames; a fault reclaims while its
+// core's supply is under `low`. The bound is one core's share of an
+// eviction batch (at most half of it), so all cores' free and pending
+// frames together stay near today's half batch; but it never drops under
+// 64 pages, where the local invalidation clamp (tlb_full_flush) still
+// costs under 10 cycles a page, unless the whole batch is smaller; and it
+// never exceeds 1/16 of the cache. The low mark leaves a slice margin over
+// the bound, so the queue a flush refilled lasts until the next flush.
+struct ReclaimMarks {
+  uint64_t bound;
+  uint64_t low;
+};
+
+ReclaimMarks MarksFor(const PageCache& cache, int cores) {
+  constexpr uint64_t kMinFlush = 64;
+  const uint64_t batch = cache.eviction_batch();
+  const uint64_t share = std::min<uint64_t>(batch / 2, batch / std::max(cores, 1));
+  const uint64_t bound = std::max<uint64_t>(
+      1, std::min({batch, std::max(share, kMinFlush), cache.capacity_pages() / 16}));
+  return ReclaimMarks{bound, bound + std::max<uint64_t>(bound / 8, kSliceVictims)};
+}
+
 #if AQUILA_TELEMETRY_ENABLED
 // Fault-path latency histograms, classified at handler exit (a fault only
 // learns whether it was major, minor, or a write upgrade at the end).
@@ -29,7 +62,6 @@ struct FaultMetrics {
   Histogram* fault_minor = telemetry::Registry().GetHistogram("aquila.core.fault_minor_cycles");
   Histogram* fault_upgrade =
       telemetry::Registry().GetHistogram("aquila.core.fault_upgrade_cycles");
-  Histogram* evict_batch = telemetry::Registry().GetHistogram("aquila.core.evict_batch_cycles");
   Histogram* msync = telemetry::Registry().GetHistogram("aquila.core.msync_cycles");
 };
 
@@ -77,6 +109,10 @@ Status AquilaMap::TearDown() {
   // frames or restore failures dirty-in-place, where the sweep below
   // re-collects them for the final synchronous pass.
   (void)engine_->Drain(vcpu);
+  // Pending reclaim batches may hold this mapping's clean victims, out of
+  // the hash where the sweep below cannot see them. With the VMA gone no
+  // slice can add more, so one flush of every core's batch returns them.
+  (void)runtime_->FlushPendingReclaim();
 
   // Huge spans split back to 4K first: the sweep below removes PTEs page by
   // page, and Remove() on a vaddr covered by a 2 MB leaf no-ops — it would
@@ -434,6 +470,12 @@ StatusOr<FrameId> AquilaMap::HandleFault(Vcpu& vcpu, uint64_t vaddr, bool write,
           f.state.store(FrameState::kResident, std::memory_order_release);
         }
         runtime_->fault_stats().minor_faults.fetch_add(1, std::memory_order_relaxed);
+        // Read-ahead consumed this frame: the stream's faults reclaim for it.
+        if (runtime_->reclaim_ahead()) {
+          if (const uint64_t cycles = ReclaimAhead(vcpu); cycles > 0) {
+            cache.NoteEvictCycles(cycles);
+          }
+        }
         if (advice_.load(std::memory_order_relaxed) == Advice::kSequential) {
           MaybeRearmReadAhead(vcpu, file_page);
         }
@@ -475,10 +517,16 @@ StatusOr<FrameId> AquilaMap::HandleFault(Vcpu& vcpu, uint64_t vaddr, bool write,
     }
   }
 
-  // Major fault: allocate a frame, evicting when the cache is full (§3.2:
-  // batch of 512 — written back synchronously, or submitted to the device
-  // queue with completions reaped as fault handling continues).
+  // Major fault: allocate a frame. Reclaim normally ran ahead of need (the
+  // slice below); a dry allocator reaps async completions, then flushes a
+  // pending batch (its own, or one a quiet core left), and only then evicts
+  // a full batch itself (§3.2: batch of 512 — written back synchronously, or
+  // submitted to the device queue with completions reaped as fault handling
+  // continues).
   ReuseStamp stamp;
+  uint64_t reclaim_cycles = 0;
+  uint64_t idle_rounds = 0;
+  SpinBackoff backoff;
   while (true) {
     {
       telemetry::ChildSpan alloc_span(vcpu.clock(), telemetry::SpanPhase::kCacheLookup);
@@ -488,23 +536,46 @@ StatusOr<FrameId> AquilaMap::HandleFault(Vcpu& vcpu, uint64_t vaddr, bool write,
     if (frame != kInvalidFrame) {
       break;
     }
+    runtime_->NoteAllocatorDry();
     // Ready async completions hand frames back without any device waiting.
     {
       telemetry::ChildSpan harvest_span(vcpu.clock(), telemetry::SpanPhase::kQueueWait);
       if (runtime_->HarvestAsyncWritebacks(vcpu) > 0) {
+        idle_rounds = 0;
         continue;
       }
     }
-    StatusOr<size_t> evicted = EvictBatch(vcpu);
-    if (!evicted.ok()) {
-      return evicted.status();
-    }
-    if (*evicted == 0) {
-      telemetry::ChildSpan harvest_span(vcpu.clock(), telemetry::SpanPhase::kQueueWait);
-      if (runtime_->HarvestAsyncWritebacks(vcpu, HarvestMode::kWaitOne) == 0) {
-        CpuRelax();  // every frame busy; another thread is making progress
+    const uint64_t reclaim_start = vcpu.clock().Now();
+    size_t freed = runtime_->FlushPendingForAlloc(vcpu);
+    if (freed == 0) {
+      StatusOr<size_t> evicted = EvictBatch(vcpu);
+      if (!evicted.ok()) {
+        return evicted.status();
       }
+      freed = *evicted;
     }
+    reclaim_cycles += vcpu.clock().Now() - reclaim_start;
+    if (freed > 0) {
+      idle_rounds = 0;
+      continue;
+    }
+    telemetry::ChildSpan harvest_span(vcpu.clock(), telemetry::SpanPhase::kQueueWait);
+    if (runtime_->HarvestAsyncWritebacks(vcpu, HarvestMode::kWaitOne) > 0) {
+      idle_rounds = 0;
+      continue;
+    }
+    // Every frame is busy: other threads' fills and evictions own them and
+    // will hand them back. A loop that never gains one is a stall.
+    if (++idle_rounds >= kAllocNoProgressRounds) {
+      runtime_->FailAllocNoProgress(vcpu, idle_rounds);
+    }
+    backoff.Pause();
+  }
+  if (runtime_->reclaim_ahead()) {
+    reclaim_cycles += ReclaimAhead(vcpu);
+  }
+  if (reclaim_cycles > 0) {
+    cache.NoteEvictCycles(reclaim_cycles);
   }
 
   // Resolve the frame's last-owner stamp before filling: same-owner reuse
@@ -746,8 +817,7 @@ Status AquilaMap::ReadAhead(Vcpu& vcpu, uint64_t file_page) {
 
 StatusOr<size_t> AquilaMap::EvictBatch(Vcpu& vcpu) {
   PageCache& cache = runtime_->cache();
-  FaultStats& stats = runtime_->fault_stats();
-  stats.evict_batches.fetch_add(1, std::memory_order_relaxed);
+  runtime_->fault_stats().direct_reclaims.fetch_add(1, std::memory_order_relaxed);
   const uint64_t evict_start = vcpu.clock().Now();
   // One child for the whole batch; writeback/shootdown below nest under it.
   telemetry::ChildSpan evict_span(vcpu.clock(), telemetry::SpanPhase::kEvict);
@@ -759,7 +829,6 @@ StatusOr<size_t> AquilaMap::EvictBatch(Vcpu& vcpu) {
     n = cache.SelectVictims(victims.size(), victims.data());
   }
   if (n == 0) {
-    cache.NoteEvictCycles(vcpu.clock().Now() - evict_start);
     return size_t{0};
   }
 
@@ -768,63 +837,7 @@ StatusOr<size_t> AquilaMap::EvictBatch(Vcpu& vcpu) {
   batch.to_free.reserve(n);
   {
     ScopedMeasure measure(vcpu.clock(), CostCategory::kCacheMgmt);
-    // Software pipeline: each victim's reclaim stalls on three cold lines
-    // (its VMA entry, its PTE, its hash home slot), so request them
-    // kReclaimPrefetchAhead victims early. The prefetches are issued inside
-    // this scope, which consumes them, so what they save shows up as a
-    // shorter measured scope rather than as work moved off the sim clock.
-    VmaTree& tree = runtime_->vma_tree();
-    const PageTable& page_table = runtime_->page_table();
-    auto prefetch_victim = [&](FrameId frame) {
-      // Claimed by SelectVictims, so the identity fields are ours to read.
-      const Frame& f = cache.frame(frame);
-      uint64_t vaddr = f.vaddr.load(std::memory_order_relaxed);
-      cache.PrefetchMapping(f.key.load(std::memory_order_relaxed));
-      if (vaddr != 0) {
-        tree.PrefetchEntry(vaddr >> kPageShift);
-        page_table.Prefetch(vaddr);
-      }
-    };
-    for (size_t i = 0; i < std::min(n, kReclaimPrefetchAhead); i++) {
-      prefetch_victim(victims[i]);
-    }
-    for (size_t i = 0; i < n; i++) {
-      if (i + kReclaimPrefetchAhead < n) {
-        prefetch_victim(victims[i + kReclaimPrefetchAhead]);
-      }
-      FrameId frame = victims[i];
-      Frame& f = cache.frame(frame);
-      // The claim CAS in SelectVictims (acquire) synchronizes with the
-      // publisher's kResident release store, so the identity fields read
-      // below are the published values; we own them until the frame is
-      // freed or republished.
-      uint64_t vaddr = f.vaddr.load(std::memory_order_relaxed);
-      uint64_t page = vaddr >> kPageShift;
-      if (vaddr == 0) {
-        // Read-ahead page with no translation yet: evictable without a
-        // lock or a shootdown.
-        cache.RemoveMapping(f.key.load(std::memory_order_relaxed));
-        batch.to_free.push_back(frame);
-        continue;
-      }
-      Vma* vma;
-      if (!tree.TryLockEntry(page, &vma)) {
-        // A fault in flight on that page: give it a second chance.
-        f.referenced.store(1, std::memory_order_relaxed);
-        f.state.store(FrameState::kResident, std::memory_order_release);
-        continue;
-      }
-      // Clean victims stay on the batched shootdown even under kReuseElide.
-      // Bulk eviction recycles frames across owners almost always once
-      // several cores churn, so deferring here trades the batch clamp
-      // (~tlb_full_flush amortized over the whole batch) for one retail
-      // invalidate/IPI per recycled frame — measured as a net loss beyond a
-      // few cores. The deferral is scoped to Advise(kDontNeed), where a
-      // discard-then-retouch by the same owner is the expected pattern
-      // (DESIGN.md §10).
-      static_cast<AquilaMap*>(vma->backing)
-          ->ReclaimPage(vcpu, frame, page, /*defer_clean=*/false, &batch);
-    }
+    (void)ReclaimVictims(vcpu, std::span(victims.data(), n), ReclaimMode::kDirect, &batch);
   }
 
   if (!batch.planner.empty()) {
@@ -838,13 +851,168 @@ StatusOr<size_t> AquilaMap::EvictBatch(Vcpu& vcpu) {
     (void)batch.planner.SubmitReclaim(vcpu, &batch.to_free);
   }
 
-  size_t freed = FinishReclaim(vcpu, batch);
-  stats.evicted_pages.fetch_add(freed, std::memory_order_relaxed);
-  cache.NoteEvictCycles(vcpu.clock().Now() - evict_start);
+  size_t freed = runtime_->FinishReclaim(vcpu, batch, FreeLevel::kCoreFirst);
+  runtime_->NoteReclaimFlush(vcpu, evict_start, freed);
   evict_span.set_arg(freed);
-  AQUILA_TELEMETRY_ONLY(
-      telemetry::RecordSpanSince(GetFaultMetrics().evict_batch, vcpu.clock(), evict_start));
   return freed;
+}
+
+uint64_t AquilaMap::ReclaimAhead(Vcpu& vcpu) {
+  PageCache& cache = runtime_->cache();
+  PendingReclaim& pending = runtime_->pending_reclaim(vcpu.core());
+  const ReclaimMarks marks = MarksFor(cache, runtime_->active_cores());
+  const uint64_t start = vcpu.clock().Now();
+  if (pending.frames.load(std::memory_order_relaxed) >= marks.bound) {
+    // The batch is full: this fault pays its one shootdown and reclaims
+    // nothing more, so no fault pays both a flush and a slice.
+    std::lock_guard<SpinLock> guard(pending.lock);
+    (void)runtime_->FlushPendingLocked(vcpu, pending, FreeLevel::kCoreFirst);
+    return vcpu.clock().Now() - start;
+  }
+  const uint64_t supply =
+      cache.ReachableFreeFrames(vcpu.core()) + pending.frames.load(std::memory_order_relaxed);
+  if (supply >= marks.low) {
+    return 0;
+  }
+  // One victim per fault holds the supply where it is; a core further
+  // behind (after a dry flush, or when victims were handed back) takes two.
+  const size_t want = supply + kSliceVictims < marks.low ? kSliceVictims : 1;
+  telemetry::ChildSpan evict_span(vcpu.clock(), telemetry::SpanPhase::kEvict);
+  bool write_back = false;
+  {
+    std::lock_guard<SpinLock> guard(pending.lock);
+    size_t freed_now;
+    {
+      ScopedMeasure measure(vcpu.clock(), CostCategory::kCacheMgmt);
+      // The victims were chosen one fault ago and their lines prefetched
+      // then: the eviction loop's prefetch-ahead, without holding a claim
+      // across faults (a thread that stops faulting would strand the frame).
+      std::array<FrameId, kSliceVictims> victims;
+      size_t n = 0;
+      size_t used = 0;
+      for (; used < pending.candidate_count && n < want; used++) {
+        if (cache.ClaimCandidate(pending.candidates[used])) {
+          victims[n++] = pending.candidates[used];
+        }
+      }
+      std::copy(pending.candidates.begin() + used,
+                pending.candidates.begin() + pending.candidate_count,
+                pending.candidates.begin());
+      pending.candidate_count -= used;
+      freed_now = ReclaimVictims(vcpu, std::span(victims.data(), n), ReclaimMode::kAhead,
+                                 &pending.batch);
+      FrameId* next = pending.candidates.data() + pending.candidate_count;
+      const size_t found =
+          cache.NextCandidates(&pending.sweep, kSliceVictims - pending.candidate_count,
+                               kCandidateSteps, next, &pending.dirty_passed);
+      for (size_t i = 0; i < found; i++) {
+        PrefetchVictim(next[i]);
+      }
+      pending.candidate_count += found;
+    }
+    if (freed_now > 0) {
+      runtime_->fault_stats().evicted_pages.fetch_add(freed_now, std::memory_order_relaxed);
+    }
+    AQUILA_RACE_POINT("reclaim.pending.append");
+    pending.frames.store(static_cast<uint32_t>(pending.batch.to_free.size()),
+                         std::memory_order_relaxed);
+    evict_span.set_arg(pending.batch.to_free.size());
+    // Cold dirty frames are the clock's victims too, and only the batch path
+    // writes them back. A dry allocation runs it; so does the fault whose
+    // sweep has passed half the cache's worth of them, lest clean victims
+    // keep them cached unwritten indefinitely.
+    if (pending.dirty_passed >= cache.capacity_pages() / 2) {
+      pending.dirty_passed = 0;
+      write_back = true;
+    }
+  }
+  if (write_back) {
+    (void)EvictBatch(vcpu);  // a best-effort slice: a failed writeback only frees less
+  }
+  return vcpu.clock().Now() - start;
+}
+
+void AquilaMap::PrefetchVictim(FrameId frame) const {
+  // Read unclaimed for a candidate: a stale identity only wastes a prefetch.
+  // The frame's own line is requested for writing too: the claim CAS and
+  // the release store that free the frame both write it.
+  const Frame& f = runtime_->cache().frame(frame);
+  PrefetchForWrite(&f);
+  const uint64_t vaddr = f.vaddr.load(std::memory_order_relaxed);
+  runtime_->cache().PrefetchMapping(f.key.load(std::memory_order_relaxed));
+  if (vaddr != 0) {
+    runtime_->vma_tree().PrefetchEntry(vaddr >> kPageShift);
+    runtime_->page_table().Prefetch(vaddr);
+  }
+}
+
+size_t AquilaMap::ReclaimVictims(Vcpu& vcpu, std::span<const FrameId> victims, ReclaimMode mode,
+                                 ReclaimBatch* batch) {
+  PageCache& cache = runtime_->cache();
+  VmaTree& tree = runtime_->vma_tree();
+  // Software pipeline: each victim's reclaim stalls on three cold lines
+  // (its VMA entry, its PTE, its hash home slot), so request them
+  // kReclaimPrefetchAhead victims early. The caller's kCacheMgmt scope
+  // consumes them, so what they save shows up as a shorter measured scope
+  // rather than as work moved off the sim clock.
+  const size_t n = victims.size();
+  // A slice's victims were prefetched when the sweep chose them.
+  for (size_t i = 0; mode == ReclaimMode::kDirect && i < std::min(n, kReclaimPrefetchAhead);
+       i++) {
+    PrefetchVictim(victims[i]);
+  }
+  size_t freed_now = 0;
+  for (size_t i = 0; i < n; i++) {
+    if (i + kReclaimPrefetchAhead < n) {
+      PrefetchVictim(victims[i + kReclaimPrefetchAhead]);
+    }
+    FrameId frame = victims[i];
+    Frame& f = cache.frame(frame);
+    // The claim CAS (SelectVictims, ClaimCandidate; acquire) synchronizes
+    // with the publisher's kResident release store, so the identity fields
+    // read below are the published values; we own them until the frame is
+    // freed or republished.
+    uint64_t vaddr = f.vaddr.load(std::memory_order_relaxed);
+    uint64_t page = vaddr >> kPageShift;
+    if (vaddr == 0) {
+      // Read-ahead page with no translation yet: evictable without a
+      // lock or a shootdown.
+      cache.RemoveMapping(f.key.load(std::memory_order_relaxed));
+      if (mode == ReclaimMode::kAhead) {
+        cache.FreeFrame(vcpu.core(), frame);
+        freed_now++;
+      } else {
+        batch->to_free.push_back(frame);
+      }
+      continue;
+    }
+    Vma* vma;
+    if (!tree.TryLockEntry(page, &vma)) {
+      // A fault in flight on that page: give it a second chance.
+      f.referenced.store(1, std::memory_order_relaxed);
+      f.state.store(FrameState::kResident, std::memory_order_release);
+      continue;
+    }
+    if (mode == ReclaimMode::kAhead && f.dirty.load(std::memory_order_relaxed) != 0) {
+      // Dirtied since the sweep chose it: writeback stays on the batch
+      // path, so hand it back with a second chance.
+      f.referenced.store(1, std::memory_order_relaxed);
+      f.state.store(FrameState::kResident, std::memory_order_release);
+      tree.UnlockEntry(page);
+      continue;
+    }
+    // Clean victims stay on the batched shootdown even under kReuseElide.
+    // Bulk eviction recycles frames across owners almost always once
+    // several cores churn, so deferring here trades the batch clamp
+    // (~tlb_full_flush amortized over the whole batch) for one retail
+    // invalidate/IPI per recycled frame — measured as a net loss beyond a
+    // few cores. The deferral is scoped to Advise(kDontNeed), where a
+    // discard-then-retouch by the same owner is the expected pattern
+    // (DESIGN.md §10).
+    static_cast<AquilaMap*>(vma->backing)
+        ->ReclaimPage(vcpu, frame, page, /*defer_clean=*/false, batch);
+  }
+  return freed_now;
 }
 
 void AquilaMap::ReclaimPage(Vcpu& vcpu, FrameId frame, uint64_t page, bool defer_clean,
@@ -898,18 +1066,6 @@ void AquilaMap::ReclaimPage(Vcpu& vcpu, FrameId frame, uint64_t page, bool defer
     batch->stamps.push_back(stamp);
   }
   batch->to_free.push_back(frame);
-}
-
-size_t AquilaMap::FinishReclaim(Vcpu& vcpu, const ReclaimBatch& batch) {
-  // One batched shootdown for the whole batch (§4.1); the masked path
-  // splits it into per-victim-core coalesced IPIs and elides cores that
-  // never mapped any page of the batch. Frames free only after it.
-  runtime_->ShootdownPages(vcpu, batch.vpns);
-  // One chain push per queue level: the freeing core's queue refills first
-  // (its thread allocates next), the rest goes to the NUMA level.
-  runtime_->cache().FreeFrames(vcpu.core(), batch.to_free, FreeLevel::kCoreFirst,
-                               batch.stamps);
-  return batch.to_free.size();
 }
 
 Status AquilaMap::Read(uint64_t offset, std::span<uint8_t> dst) {
@@ -1331,7 +1487,7 @@ Status AquilaMap::Advise(uint64_t offset, uint64_t length, Advice advice) {
       // Failed dirty pages stay cached and dirty and madvise reports the
       // EIO; the clean pages are still dropped.
       Status status = batch.planner.SubmitReclaim(vcpu, &batch.to_free);
-      (void)FinishReclaim(vcpu, batch);
+      (void)runtime_->FinishReclaim(vcpu, batch, FreeLevel::kCoreFirst);
       return status;
     }
   }

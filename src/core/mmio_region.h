@@ -6,8 +6,9 @@
 //   miss : a page fault taken in non-root ring 0 (552-cycle exception, no
 //          protection-domain switch), handled under the page's VMA entry
 //          lock: cache lookup in the lock-free hash, frame allocation from
-//          the 2-level freelist, synchronous batched eviction when empty,
-//          device read, mapping install.
+//          the 2-level freelist, device read, mapping install; a fault
+//          that finds its core's free supply low reclaims a victim or two
+//          ahead of need (DESIGN.md §5).
 // Dirty tracking follows §3.2: read faults map read-only; the first write
 // takes a second (minor) fault that sets PTE.W|D and inserts the frame into
 // the faulting core's dirty tree, keyed by device offset.
@@ -17,6 +18,7 @@
 #include <array>
 #include <atomic>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "src/core/aquila.h"
@@ -176,24 +178,35 @@ class AquilaMap : public MemoryMap {
   // without a device read: re-arms the window (ReadAhead) once the stream's
   // lead over the pages in flight has fallen by a quarter of the window.
   void MaybeRearmReadAhead(Vcpu& vcpu, uint64_t file_page);
-  // Batched eviction. Returns frames freed now — async mode frees dirty
-  // victims later, when their completions reap. Writeback failures (sync
-  // I/O errors and async submission rejections alike) are charged to the
-  // victim's owning mapping and reduce the round's progress; they are never
-  // surfaced as a fault error for an unrelated page.
+  // Direct reclaim, the fallback of a dry allocation that found no pending
+  // batch to flush: reclaims a full eviction batch, dirty victims included,
+  // then flushes it at once. Returns frames freed now — async mode frees
+  // dirty victims later, when their completions reap. Writeback failures
+  // (sync I/O errors and async submission rejections alike) are charged to
+  // the victim's owning mapping and reduce the round's progress; they are
+  // never surfaced as a fault error for an unrelated page.
   StatusOr<size_t> EvictBatch(Vcpu& vcpu);
+  // Pay-as-you-go reclaim (DESIGN.md §5), run by every fault that consumed
+  // a frame: when the core's free supply (reachable free frames plus its
+  // pending batch) is below the low mark, reclaims a slice of one or two
+  // clean victims into the core's pending batch; a fault that finds the
+  // batch at its bound flushes it instead. Returns the simulated cycles it
+  // spent, for the fault's reclaim bill.
+  uint64_t ReclaimAhead(Vcpu& vcpu);
 
-  // A reclaim batch (EvictBatch, Advise(kDontNeed)) between claim and free:
-  // victim batch, offset-sorted writeback, one batched shootdown (§3.2,
-  // §4.1).
-  struct ReclaimBatch {
-    WritebackPlanner planner;             // dirty victims
-    std::vector<PageShootdown> vpns;      // translations to shoot down
-    std::vector<FrameId> to_free;         // freed only after the shootdown
-    // stamps[i] is to_free[i]'s last-owner stamp (a deferred shootdown);
-    // entries past its end carry none.
-    std::vector<ReuseStamp> stamps;
-  };
+  // How ReclaimVictims routes what it claimed. kDirect (EvictBatch): dirty
+  // victims go to the batch's planner. kAhead (a slice): only clean victims
+  // join the pending batch; a dirty one gets a second chance, and a
+  // read-ahead frame frees at once.
+  enum class ReclaimMode : uint8_t { kDirect, kAhead };
+  // The victim loop shared by both modes: reclaims every claimed (kEvicting)
+  // frame in `victims` into `batch`, prefetching each victim's lines a few
+  // victims ahead (PrefetchVictim). Returns read-ahead frames freed at once.
+  size_t ReclaimVictims(Vcpu& vcpu, std::span<const FrameId> victims, ReclaimMode mode,
+                        ReclaimBatch* batch);
+  // Requests, for writing, the lines reclaiming `frame` stalls on: its own,
+  // its VMA entry, its PTE and its hash home slot.
+  void PrefetchVictim(FrameId frame) const;
   // Reclaims one page of this mapping whose frame the caller claimed
   // (kEvicting) under the page's entry lock: demotes its huge span, removes
   // the PTE and the trap mapping, captures the shootdown, and routes the
@@ -202,9 +215,6 @@ class AquilaMap : public MemoryMap {
   // clean mapped page's shootdown (kReuseElide on Advise(kDontNeed) only).
   void ReclaimPage(Vcpu& vcpu, FrameId frame, uint64_t page, bool defer_clean,
                    ReclaimBatch* batch);
-  // One batched shootdown for the batch, then the frees. Call after
-  // planner.SubmitReclaim. Returns frames freed.
-  size_t FinishReclaim(Vcpu& vcpu, const ReclaimBatch& batch);
   // Fills `frame` for (vaddr,key) from the backing and publishes it.
   Status FillAndPublish(Vcpu& vcpu, FrameId frame, uint64_t vaddr, uint64_t key, bool write);
 

@@ -56,7 +56,17 @@ inline void CpuRelax() {
 // Requests the cache line holding `addr` with write intent, so a later store
 // or RMW on it does not stall on the miss. A hint: never faults, even on an
 // address that is not mapped.
+#if defined(__x86_64__)
+inline void PrefetchForWrite(const void* addr) {
+  // PREFETCHW itself: __builtin_prefetch's write hint only emits it under
+  // -mprfchw, and PREFETCHT0 fetches the line shared, so the later store
+  // or RMW still waits for ownership from the core that last wrote it.
+  // Decodes as a NOP on x86-64 cores without it.
+  asm volatile("prefetchw %0" : : "m"(*static_cast<const char*>(addr)));
+}
+#else
 inline void PrefetchForWrite(const void* addr) { __builtin_prefetch(addr, 1, 3); }
+#endif
 
 // Spin-wait helper: pause a few rounds, then yield the host CPU. Simulations
 // oversubscribe host cores heavily (32 workers on 1 CPU); yielding lets the

@@ -22,6 +22,7 @@
 #include "src/util/crc32c.h"
 #include "src/util/rng.h"
 #include "src/util/sim_clock.h"
+#include "tests/crash_backtrace.h"
 
 namespace aquila {
 namespace {

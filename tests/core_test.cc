@@ -220,6 +220,102 @@ TEST_F(AquilaTest, UnmapReturnsFramesToEveryCore) {
   ASSERT_TRUE(runtime_->Unmap(*map).ok());
 }
 
+// Pay-as-you-go reclaim (DESIGN.md §5): once the cache has run dry, each
+// fault reclaims a clean victim ahead of need into its core's pending
+// batch, where the frame waits, out of the hash and unmapped, for the
+// batch's one shootdown. A thread that refaults such a page must neither
+// wait on the parked frame nor see anything but the device's bytes.
+TEST_F(AquilaTest, RefaultFromOwnPendingBatchRereadsTheDevice) {
+  FillDevice(0, 16 << 20);
+  DeviceBacking backing(device_.get(), 0, 16 << 20);
+  StatusOr<MemoryMap*> map = runtime_->Map(&backing, 16 << 20, kProtRead);
+  ASSERT_TRUE(map.ok());
+  ASSERT_TRUE((*map)->Advise(0, 16 << 20, Advice::kRandom).ok());
+  const uint64_t start_page = static_cast<AquilaMap*>(*map)->vma().start_page;
+  const int core = CoreRegistry::CurrentCore();
+  // Fill the cache past capacity, then fault on until this core's pending
+  // batch holds a victim (it flushes only at the start of a later fault).
+  uint64_t next = 0;
+  for (; next < 4 * kCachePages; next++) {
+    (*map)->TouchRead(next * kPageSize);
+    if (next > kCachePages && runtime_->PendingReclaimFrames(core) > 0) {
+      break;
+    }
+  }
+  ASSERT_GT(runtime_->PendingReclaimFrames(core), 0u);
+  uint64_t victim = next;
+  PageShootdown row;
+  FrameId parked = kInvalidFrame;
+  for (uint64_t p = 0; p < next && parked == kInvalidFrame; p++) {
+    if (runtime_->FindPendingReclaim(start_page + p, &row, &parked)) {
+      victim = p;
+    }
+  }
+  ASSERT_NE(parked, kInvalidFrame);
+  EXPECT_EQ(runtime_->cache().frame(parked).state.load(), FrameState::kEvicting);
+  EXPECT_FALSE(Pte::Present(runtime_->page_table().Lookup((start_page + victim) << kPageShift)));
+
+  uint64_t majors = runtime_->fault_stats().major_faults.load();
+  std::vector<uint8_t> buf(kPageSize);
+  ASSERT_TRUE((*map)->Read(victim * kPageSize, std::span(buf)).ok());
+  for (uint64_t i = 0; i < kPageSize; i++) {
+    ASSERT_EQ(buf[i], PatternAt(victim * kPageSize + i)) << i;
+  }
+  EXPECT_EQ(runtime_->fault_stats().major_faults.load(), majors + 1);
+  uint64_t pte = runtime_->page_table().Lookup((start_page + victim) << kPageShift);
+  ASSERT_TRUE(Pte::Present(pte));
+  EXPECT_NE(static_cast<FrameId>(Pte::Gpa(pte) >> kPageShift), parked);
+  ASSERT_TRUE(runtime_->Unmap(*map).ok());
+  EXPECT_EQ(runtime_->PendingReclaimFrames(), 0u);
+  EXPECT_EQ(runtime_->cache().ApproxFreeFrames(), kCachePages);
+}
+
+// The twin of UnmapReturnsFramesToEveryCore for pending batches: threads
+// never unregister, so a batch a thread left behind when it exited is
+// reachable only by stealing. A dry allocation on another core must flush
+// it (without falling back to a full eviction batch), and after Unmap every
+// frame is free again.
+TEST_F(AquilaTest, ExitedThreadsPendingBatchIsStolenByADryAllocator) {
+  DeviceBacking backing(device_.get(), 0, 16 << 20);
+  StatusOr<MemoryMap*> map = runtime_->Map(&backing, 16 << 20, kProtRead);
+  ASSERT_TRUE(map.ok());
+  ASSERT_TRUE((*map)->Advise(0, 16 << 20, Advice::kRandom).ok());
+  const int main_core = CoreRegistry::CurrentCore();
+  const int worker_core = (main_core + 1) % CoreRegistry::kMaxCores;
+  std::thread worker([&] {
+    CoreRegistry::SetCurrentCoreForTest(worker_core);
+    runtime_->EnterThread();
+    for (uint64_t p = 0; p < 4 * kCachePages; p++) {
+      (*map)->TouchRead(p * kPageSize);
+      if (p > kCachePages && runtime_->PendingReclaimFrames(worker_core) > 0) {
+        break;
+      }
+    }
+  });
+  worker.join();
+  const uint64_t left_behind = runtime_->PendingReclaimFrames(worker_core);
+  ASSERT_GT(left_behind, 0u);
+
+  // Empty every queue this core can reach, so its next fault is dry.
+  PageCache& cache = runtime_->cache();
+  std::vector<FrameId> drained;
+  for (FrameId f; (f = cache.AllocFrame(ThisVcpu(), main_core)) != kInvalidFrame;) {
+    drained.push_back(f);
+  }
+  ASSERT_EQ(runtime_->PendingReclaimFrames(main_core), 0u);
+  const uint64_t direct = runtime_->fault_stats().direct_reclaims.load();
+  EXPECT_TRUE((*map)->TouchRead((4 * kCachePages - 1) * kPageSize).faulted);
+  EXPECT_EQ(runtime_->PendingReclaimFrames(worker_core), 0u);
+  EXPECT_EQ(runtime_->fault_stats().direct_reclaims.load(), direct);
+
+  for (FrameId f : drained) {
+    cache.FreeFrame(main_core, f);
+  }
+  ASSERT_TRUE(runtime_->Unmap(*map).ok());
+  EXPECT_EQ(runtime_->PendingReclaimFrames(), 0u);
+  EXPECT_EQ(cache.ApproxFreeFrames(), kCachePages);
+}
+
 TEST_F(AquilaTest, SequentialAdviceTriggersReadAhead) {
   FillDevice(0, 1 << 20);
   DeviceBacking backing(device_.get(), 0, 1 << 20);

@@ -289,5 +289,40 @@ TEST(EngineWaitDeathTest, AwaitFillOnAStuckQueueDumpsSlotsAndFails) {
       "AwaitFill made no progress in 1000 steps(.|\n)*slot [0-9]+: kind=fill key=0x");
 }
 
+// The allocation loop's twin of the engine wait check: a fault whose every
+// reclaim round frees nothing (no completion to reap, no pending batch to
+// flush, every victim's entry lock held) must dump the allocator state and
+// fail instead of spinning forever.
+TEST(AllocWaitDeathTest, AllocationThatNeverGainsAFrameDumpsTheAllocatorAndFails) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        PmemDevice::Options dev_options;
+        dev_options.capacity_bytes = 4ull << 20;
+        PmemDevice device(dev_options);
+        DeviceBacking backing(&device, 0, device.capacity_bytes());
+        constexpr uint64_t kFrames = 64;
+        Aquila::Options options;
+        options.cache.capacity_pages = kFrames;
+        options.cache.max_pages = 4 * kFrames;
+        Aquila runtime(options);
+        StatusOr<MemoryMap*> map = runtime.Map(&backing, 1 << 20, kProtRead);
+        AQUILA_CHECK(map.ok());
+        AQUILA_CHECK((*map)->Advise(0, 1 << 20, Advice::kRandom).ok());
+        const uint64_t start_page = static_cast<AquilaMap*>(*map)->vma().start_page;
+        for (uint64_t page = 0; page < kFrames; page++) {
+          (void)(*map)->TouchRead(page * kPageSize);
+        }
+        // Hold every resident page's entry lock: eviction may claim their
+        // frames but must hand each one back.
+        for (uint64_t page = 0; page < kFrames; page++) {
+          AQUILA_CHECK(runtime.vma_tree().LockEntry(start_page + page) != nullptr);
+        }
+        (void)(*map)->TouchRead(kFrames * kPageSize);
+      },
+      "frame allocation made no progress in [0-9]+ rounds(.|\n)*approx_free=0(.|\n)*"
+      "pending_reclaim=");
+}
+
 }  // namespace
 }  // namespace aquila

@@ -30,6 +30,7 @@
 #include "src/storage/pmem_device.h"
 #include "src/util/cpu.h"
 #include "src/util/rng.h"
+#include "tests/crash_backtrace.h"
 
 namespace aquila {
 namespace {
