@@ -81,7 +81,7 @@ void TwoLevelFreelist::AddFrames(FrameId first, uint32_t count, uint64_t align_p
   const uint32_t nodes = static_cast<uint32_t>(run_queues_.size());
   while (run + kRunFrames <= end) {
     run_queues_[node % nodes].Push(run);
-    free_frames_.fetch_add(kRunFrames, std::memory_order_relaxed);
+    freed_.fetch_add(kRunFrames, std::memory_order_release);
     node++;
     run += kRunFrames;
   }
@@ -109,7 +109,7 @@ void TwoLevelFreelist::AddSingles(FrameId first, uint32_t count) {
       next_[cursor + i].store(cursor + i + 1, std::memory_order_relaxed);
     }
     numa_queues_[node].PushChain(cursor, cursor + n - 1, n);
-    free_frames_.fetch_add(n, std::memory_order_relaxed);
+    freed_.fetch_add(n, std::memory_order_release);
     cursor += n;
   }
 }
@@ -117,7 +117,8 @@ void TwoLevelFreelist::AddSingles(FrameId first, uint32_t count) {
 FrameId TwoLevelFreelist::Alloc(int core) {
   FrameId frame = PopFrame(core);
   if (frame != kInvalidFrame) {
-    free_frames_.fetch_sub(1, std::memory_order_relaxed);
+    AQUILA_RACE_POINT("freelist.alloc.pre_count");
+    allocated_.fetch_add(1, std::memory_order_release);
   }
   return frame;
 }
@@ -147,7 +148,7 @@ FrameId TwoLevelFreelist::PopFrame(int core) {
   if (options_.carve_runs) {
     // Last resort under 4K pressure: break an intact run into singles rather
     // than force an eviction while 2 MB of frames sit idle. The run's frames
-    // stay counted in free_frames_; Alloc subtracts the one handed out. The
+    // stay counted as freed; Alloc counts the one handed out. The
     // reserve watermark is checked approximately — a racing breaker can take
     // the count below it, which costs one promotion opportunity, not safety.
     uint32_t intact = 0;
@@ -213,7 +214,7 @@ FrameId TwoLevelFreelist::AllocRun(int core) {
   int local_node = NumaTopology::NodeOfCore(core) % static_cast<int>(run_queues_.size());
   FrameId run = PopRun(local_node);
   if (run != kInvalidFrame) {
-    free_frames_.fetch_sub(kRunFrames, std::memory_order_relaxed);
+    allocated_.fetch_add(kRunFrames, std::memory_order_release);
     stats_.run_allocs.fetch_add(1, std::memory_order_relaxed);
   }
   return run;
@@ -224,7 +225,7 @@ void TwoLevelFreelist::FreeRun(int core, FrameId first) {
   AQUILA_DCHECK(static_cast<uint64_t>(first) + kRunFrames <= capacity_);
   int local_node = NumaTopology::NodeOfCore(core) % static_cast<int>(run_queues_.size());
   run_queues_[local_node].Push(first);
-  free_frames_.fetch_add(kRunFrames, std::memory_order_relaxed);
+  freed_.fetch_add(kRunFrames, std::memory_order_release);
   stats_.run_frees.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -249,7 +250,8 @@ void TwoLevelFreelist::Free(int core, FrameId frame, const ReuseStamp& stamp) {
   // slot is owned by whoever holds the frame outside the stacks.
   stamps_[frame] = stamp;
   core_queues_[core].Push(frame);
-  free_frames_.fetch_add(1, std::memory_order_relaxed);
+  AQUILA_RACE_POINT("freelist.free.pre_count");
+  freed_.fetch_add(1, std::memory_order_release);
   MaybeOverflow(core);
 }
 
@@ -294,7 +296,7 @@ void TwoLevelFreelist::FreeBatch(int core, std::span<const FrameId> frames,
                                  static_cast<uint32_t>(to_numa.size()));
     stats_.batch_moves.fetch_add(1, std::memory_order_relaxed);
   }
-  free_frames_.fetch_add(static_cast<int64_t>(frames.size()), std::memory_order_relaxed);
+  freed_.fetch_add(frames.size(), std::memory_order_release);
 }
 
 void TwoLevelFreelist::MaybeOverflow(int core) {
@@ -329,13 +331,19 @@ void TwoLevelFreelist::MaybeOverflow(int core) {
 }
 
 uint64_t TwoLevelFreelist::ApproxFree() const {
-  // One counter, not a sum of queue sizes: a sum read mid-churn counts a
-  // frame twice when it moves from a summed queue to one not yet summed.
-  // Pushes add after their CAS and pops subtract after theirs, and a frame
-  // is pushed again only after its pop subtracted, so the counter never
-  // exceeds capacity; it can dip below zero while an add trails.
-  int64_t free = free_frames_.load(std::memory_order_relaxed);
-  return free > 0 ? static_cast<uint64_t>(free) : 0;
+  // Two monotonic sums, not a sum of queue sizes: a sum read mid-churn counts
+  // a frame twice when it moves from a summed queue to one not yet summed.
+  // Every freed_ add counts frames whose earlier allocations were counted
+  // before it (the freer owns each frame, so its allocation happened-before
+  // the free), and freed_ is read (acquire) before allocated_: seeing a free
+  // of frame X means seeing every earlier allocation of X. Each frame thus
+  // contributes at most one, so the difference never exceeds capacity. Adds
+  // trail their CAS, so a reader may miss a free (an allocation already
+  // counted) and dip low; it is exact at quiescence.
+  const uint64_t freed = freed_.load(std::memory_order_acquire);
+  AQUILA_RACE_POINT("freelist.approx_free.between_reads");
+  const uint64_t allocated = allocated_.load(std::memory_order_acquire);
+  return freed > allocated ? freed - allocated : 0;
 }
 
 uint64_t TwoLevelFreelist::ReachableFree(int core) const {

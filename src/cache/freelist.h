@@ -169,7 +169,7 @@ class TwoLevelFreelist {
   void Free(int core, FrameId frame, const ReuseStamp& stamp);
 
   // Returns a batch of frames with at most one PushChain per queue level
-  // and one free-count add. `stamps[i]` is recorded for `frames[i]` as in
+  // and one freed-count add. `stamps[i]` is recorded for `frames[i]` as in
   // the stamped Free; frames past the end of `stamps` get a default stamp.
   // kCoreFirst fills `core`'s queue only up to the overflow threshold, so a
   // batch never leaves more there than MaybeOverflow would.
@@ -202,6 +202,11 @@ class TwoLevelFreelist {
   const Stats& stats() const { return stats_; }
   // Frames on the queues: exact when quiescent, never above capacity.
   uint64_t ApproxFree() const;
+  // Frames on `core`'s queue and on NUMA node `node`'s queue (approximate),
+  // for stall reports.
+  uint32_t CoreQueueFree(int core) const { return core_queues_[core].ApproxSize(); }
+  uint32_t NumaQueueFree(int node) const { return numa_queues_[node].ApproxSize(); }
+  int numa_nodes() const { return static_cast<int>(numa_queues_.size()); }
   // Frames `core` can allocate without another core freeing first: its own
   // queue, every NUMA queue, and the intact runs past the reserve that
   // PopFrame may break. Approximate, like the queue sizes it sums.
@@ -231,9 +236,12 @@ class TwoLevelFreelist {
   // reachable from exactly one queue — a single queue or, via its run head,
   // a run queue. Populated only under Options::carve_runs.
   std::vector<FrameStack> run_queues_;
-  // Frames on any queue, a queued run counting kRunFrames; level moves
-  // leave it alone.
-  alignas(kCacheLineSize) std::atomic<int64_t> free_frames_{0};
+  // Frames that entered a queue (seeding and every free, a run counting
+  // kRunFrames) and frames handed out; ApproxFree is their difference. Level
+  // moves touch neither. Sharded: an allocation or free writes only its own
+  // core's lines (see ApproxFree for why the difference stays conservative).
+  ShardedCounter freed_;
+  ShardedCounter allocated_;
   Stats stats_;
 };
 

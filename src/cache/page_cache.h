@@ -236,6 +236,7 @@ class PageCache {
   uint32_t eviction_batch() const { return options_.eviction_batch; }
   const Stats& stats() const { return stats_; }
   const TwoLevelFreelist::Stats& freelist_stats() const { return freelist_.stats(); }
+  const TwoLevelFreelist& freelist() const { return freelist_; }
   uint64_t ApproxFreeFrames() const { return freelist_.ApproxFree(); }
   uint64_t ReachableFreeFrames(int core) const { return freelist_.ReachableFree(core); }
 

@@ -286,6 +286,33 @@ void Aquila::FailAllocNoProgress(Vcpu& vcpu, uint64_t rounds) {
   std::abort();
 }
 
+void Aquila::FailPollNoProgress(Vcpu& vcpu, const CoreScheduler& sched, uint64_t rounds) {
+  AQUILA_LOG(ERROR,
+             "Poll made no progress in %llu rounds (core %d): parked_depth=%lld approx_free=%llu",
+             static_cast<unsigned long long>(rounds), vcpu.core(),
+             static_cast<long long>(sched_->parked_depth.load(std::memory_order_relaxed)),
+             static_cast<unsigned long long>(cache_->ApproxFreeFrames()));
+  sched.LogState();
+  {
+    std::lock_guard<SpinLock> guard(maps_lock_);
+    for (auto& map : maps_) {
+      map->engine_->LogInFlight(vcpu);
+    }
+  }
+  const TwoLevelFreelist& freelist = cache_->freelist();
+  for (int core = 0; core < CoreRegistry::kMaxCores; core++) {
+    const uint32_t free = freelist.CoreQueueFree(core);
+    if (core < CoreRegistry::RegisteredCores() || free > 0) {
+      AQUILA_LOG(ERROR, "  core %d queue: free=%u", core, free);
+    }
+  }
+  for (int node = 0; node < freelist.numa_nodes(); node++) {
+    AQUILA_LOG(ERROR, "  numa %d queue: free=%u", node, freelist.NumaQueueFree(node));
+  }
+  AQUILA_CHECK(!"Poll made no progress");
+  std::abort();
+}
+
 ReuseStamp Aquila::DeferPageShootdown(const PageShootdown& page, uint64_t region,
                                       int core, FrameId frame) {
   DeferredShootdown d;

@@ -41,6 +41,7 @@ class StatsServer;
 }  // namespace telemetry
 
 class AquilaMap;
+class CoreScheduler;
 class SchedRegistry;
 
 // How HarvestAsyncWritebacks behaves when no completion is ready: kPoll
@@ -373,6 +374,10 @@ class Aquila : public MmioEngine {
   // The allocation loop's bounded-progress failure: dumps the freelist, the
   // pending batches and the parked table, then fails.
   [[noreturn]] void FailAllocNoProgress(Vcpu& vcpu, uint64_t rounds);
+  // Poll's bounded-progress failure: dumps the polling core's run queue and
+  // parked table, every engine's in-flight set and the per-queue free
+  // counts, then fails.
+  [[noreturn]] void FailPollNoProgress(Vcpu& vcpu, const CoreScheduler& sched, uint64_t rounds);
 
   Options options_;
   Hypervisor hypervisor_;

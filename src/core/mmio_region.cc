@@ -31,6 +31,11 @@ constexpr uint64_t kCandidateSteps = 16;
 // A dry allocation that neither gains a frame nor frees one for this many
 // rounds in a row reports the allocator state and fails.
 constexpr uint64_t kAllocNoProgressRounds = 1u << 17;
+// Poll's twin: rounds in a row that complete no task and free no frame. A
+// round that only re-parks is a fraction of a microsecond, so the bound is
+// higher: ~0.4 s of spinning, long enough to outlast a descheduled thread
+// between marking a frame kWritingBack and submitting its write.
+constexpr uint64_t kPollNoProgressRounds = 1u << 20;
 
 // A pending batch flushes at `bound` frames; a fault reclaims while its
 // core's supply is under `low`. The bound is one core's share of an
@@ -1235,8 +1240,10 @@ size_t AquilaMap::Poll(std::span<MmioCompletion> out) {
   }
   Vcpu& vcpu = ThisVcpu();
   CoreScheduler* sched = registry->ForCore(vcpu.core());
+  SpinBackoff backoff;
+  uint64_t idle_rounds = 0;
   while (true) {
-    (void)sched->RunReady(vcpu);
+    const size_t ran = sched->RunReady(vcpu);
     size_t n = sched->PopCompleted(this, out);
     if (n > 0 || !sched->HasTasks(this)) {
       return n;
@@ -1248,11 +1255,21 @@ size_t AquilaMap::Poll(std::span<MmioCompletion> out) {
       telemetry::ChildSpan wait_span(vcpu.clock(), telemetry::SpanPhase::kQueueWait);
       freed = runtime_->HarvestAsyncWritebacks(vcpu, HarvestMode::kWaitOne);
     }
+    if (ran > 0 || freed > 0) {
+      idle_rounds = 0;
+    } else if (++idle_rounds >= kPollNoProgressRounds) {
+      // Every round re-parks the same tasks and nothing completes: a park
+      // whose wake cannot come. Report it instead of spinning forever.
+      runtime_->FailPollNoProgress(vcpu, *sched, idle_rounds);
+    }
     if (freed == 0 && engine_->in_flight() == 0) {
       // Nothing in flight on this mapping yet tasks are still parked (e.g.
       // another thread's harvest consumed the completion between our
-      // RunReady and this check). Re-running from scratch is always correct.
+      // RunReady and this check, or an evictor marked the page kWritingBack
+      // and has not submitted its write yet). Re-running from scratch is
+      // always correct.
       sched->KickParked();
+      backoff.Pause();
     }
   }
 }

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "src/core/mmio_region.h"
+#include "src/util/logging.h"
 #include "src/util/race_injector.h"
 
 namespace aquila {
@@ -141,6 +142,23 @@ size_t CoreScheduler::Wake(uint64_t key, FrameId frame, const Status& status,
     }
   }
   return woken;
+}
+
+void CoreScheduler::LogState() const {
+  for (const Task& task : run_queue_) {
+    AQUILA_LOG(ERROR,
+               "  core %d task: mapping=%llu offset=%llu park_token=%llu owner_park=%d done=%d",
+               core_, static_cast<unsigned long long>(task.map->mapping_id()),
+               static_cast<unsigned long long>(task.request.offset),
+               static_cast<unsigned long long>(task.park_token), task.owner_park ? 1 : 0,
+               task.done ? 1 : 0);
+  }
+  std::lock_guard<SpinLock> guard(table_lock_);
+  for (const ParkedRequest& entry : parked_) {
+    AQUILA_LOG(ERROR, "  core %d parked: token=%llu key=%#llx frame=%u ready=%d", core_,
+               static_cast<unsigned long long>(entry.token),
+               static_cast<unsigned long long>(entry.key), entry.frame, entry.ready ? 1 : 0);
+  }
 }
 
 size_t CoreScheduler::parked_now() const {

@@ -110,6 +110,9 @@ class CoreScheduler {
 
   int core() const { return core_; }
   size_t parked_now() const;
+  // Logs the run queue and the parked table for a stall report (run queue:
+  // this core's thread only).
+  void LogState() const;
 
  private:
   SchedRegistry* registry_;

@@ -466,11 +466,23 @@ void AsyncWritebackEngine::AbortHungLocked(Vcpu& vcpu,
 }
 
 void AsyncWritebackEngine::FailNoProgressLocked(Vcpu& vcpu, const char* loop, uint32_t steps) {
+  AQUILA_LOG(ERROR, "async engine (mapping %llu): %s made no progress in %u steps",
+             static_cast<unsigned long long>(map_->mapping_id()), loop, steps);
+  LogSlotsLocked(vcpu);
+  AQUILA_CHECK(!"async engine wait loop made no progress");
+}
+
+void AsyncWritebackEngine::LogInFlight(Vcpu& vcpu) {
+  std::lock_guard<SpinLock> guard(lock_);
+  LogSlotsLocked(vcpu);
+}
+
+void AsyncWritebackEngine::LogSlotsLocked(Vcpu& vcpu) const {
   AQUILA_LOG(ERROR,
-             "async engine (mapping %llu): %s made no progress in %u steps: in_flight=%u "
-             "next_ready_at=%llu now=%llu buffered=%zu",
-             static_cast<unsigned long long>(map_->mapping_id()), loop, steps,
-             queue_->in_flight(), static_cast<unsigned long long>(queue_->NextReadyAt()),
+             "async engine (mapping %llu): in_flight=%u next_ready_at=%llu now=%llu "
+             "buffered=%zu",
+             static_cast<unsigned long long>(map_->mapping_id()), queue_->in_flight(),
+             static_cast<unsigned long long>(queue_->NextReadyAt()),
              static_cast<unsigned long long>(vcpu.clock().Now()), local_.size());
   static constexpr const char* kKindNames[] = {"free", "writeback", "fill"};
   for (uint32_t i = 0; i < slots_.size(); i++) {
@@ -483,7 +495,6 @@ void AsyncWritebackEngine::FailNoProgressLocked(Vcpu& vcpu, const char* loop, ui
                static_cast<unsigned long long>(slot.key),
                static_cast<unsigned long long>(queue_->ReadyAt(i)));
   }
-  AQUILA_CHECK(!"async engine wait loop made no progress");
 }
 
 void AsyncWritebackEngine::CompleteLocked(Vcpu& vcpu, const DeviceQueue::Completion& completion,

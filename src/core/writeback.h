@@ -227,6 +227,9 @@ class AsyncWritebackEngine {
 
   uint32_t in_flight() const { return queue_->in_flight(); }
 
+  // Logs the in-flight set (one line per busy slot) for a stall report.
+  void LogInFlight(Vcpu& vcpu);
+
  private:
   struct Slot {
     enum class Kind : uint8_t { kFree, kWriteback, kFill };
@@ -286,6 +289,7 @@ class AsyncWritebackEngine {
   void AbortHungLocked(Vcpu& vcpu, std::vector<DeviceQueue::Completion>* out);
   // Prints the slot table and the queue's state, then fails an AQUILA_CHECK.
   [[noreturn]] void FailNoProgressLocked(Vcpu& vcpu, const char* loop, uint32_t steps);
+  void LogSlotsLocked(Vcpu& vcpu) const;
 
   // The device stall before a hung command is aborted when no watchdog is
   // armed: the synchronous path's default (FaultInjectingDevice's

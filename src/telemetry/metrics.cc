@@ -1,13 +1,28 @@
 #include "src/telemetry/metrics.h"
 
+#include <sys/mman.h>
+
 #include <algorithm>
 #include <cstdarg>
 #include <cstdio>
+#include <new>
 
 #include "src/util/logging.h"
 
 namespace aquila {
 namespace telemetry {
+
+Counter::Counter() {
+  void* page = mmap(nullptr, sizeof(ShardedCounter), PROT_READ | PROT_WRITE,
+                    MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  AQUILA_CHECK(page != MAP_FAILED);
+  value_ = new (page) ShardedCounter();
+}
+
+Counter::~Counter() {
+  value_->~ShardedCounter();
+  munmap(value_, sizeof(ShardedCounter));
+}
 
 namespace {
 

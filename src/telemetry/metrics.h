@@ -6,7 +6,7 @@
 // flavors coexist:
 //
 //   - owned counters   : GetCounter("aquila.tlb.shootdown_pages")->Add(n).
-//                        Hot-path recording is one relaxed atomic add; the
+//                        Hot-path recording is one per-core sharded add; the
 //                        returned pointer is stable for the process
 //                        lifetime, so call sites cache it in a static.
 //   - owned histograms : GetHistogram(...) returns a shared Histogram
@@ -45,24 +45,32 @@ namespace telemetry {
 
 enum class MetricKind { kCounter, kGauge, kHistogram };
 
-// Monotonic counter. Recording is one relaxed atomic add (a no-op when
-// telemetry is compiled out); the cache-line alignment keeps unrelated
-// counters from false-sharing.
-class Counter {
+// Monotonic counter. Recording is one relaxed atomic add on the calling
+// core's shard (a no-op when telemetry is compiled out): counters such as
+// aquila.vmx.ring0_exceptions are bumped on every fault, so a single atomic
+// would be a line every faulting core writes. The shards live in an
+// anonymous mapping, like Histogram's, so the registry's lazily created
+// counters take one cache line of heap each, as a single atomic did.
+class alignas(kCacheLineSize) Counter {
  public:
+  Counter();
+  ~Counter();
+  Counter(const Counter&) = delete;
+  Counter& operator=(const Counter&) = delete;
+
   void Add(uint64_t n = 1) {
 #if AQUILA_TELEMETRY_ENABLED
-    value_.fetch_add(n, std::memory_order_relaxed);
+    value_->fetch_add(n, std::memory_order_relaxed);
 #else
     (void)n;
 #endif
   }
 
-  uint64_t Value() const { return value_.load(std::memory_order_relaxed); }
-  void Reset() { value_.store(0, std::memory_order_relaxed); }
+  uint64_t Value() const { return value_->load(std::memory_order_relaxed); }
+  void Reset() { value_->Reset(); }
 
  private:
-  alignas(kCacheLineSize) std::atomic<uint64_t> value_{0};
+  ShardedCounter* value_;
 };
 
 // Point-in-time digest of one histogram.

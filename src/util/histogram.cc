@@ -1,12 +1,25 @@
 #include "src/util/histogram.h"
 
+#include <sys/mman.h>
+
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cstdio>
 
+#include "src/util/cpu.h"
+#include "src/util/logging.h"
+
 namespace aquila {
 
-Histogram::Histogram() : buckets_(kBuckets) {}
+Histogram::Histogram() {
+  void* pages = mmap(nullptr, sizeof(Shard) * kShards, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  AQUILA_CHECK(pages != MAP_FAILED);
+  shards_ = static_cast<Shard*>(pages);
+}
+
+Histogram::~Histogram() { munmap(shards_, sizeof(Shard) * kShards); }
 
 // Values < 16 are exact buckets 0..15; above that, each power-of-two octave
 // splits into 8 linear sub-buckets (<= ~6% relative error).
@@ -31,69 +44,114 @@ uint64_t Histogram::BucketMidpoint(int bucket) {
   return base + width / 2;
 }
 
-void Histogram::Record(uint64_t value) {
-  buckets_[BucketFor(value)].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
-  sum_.fetch_add(value, std::memory_order_relaxed);
-  uint64_t prev_min = min_.load(std::memory_order_relaxed);
-  while (value < prev_min &&
-         !min_.compare_exchange_weak(prev_min, value, std::memory_order_relaxed)) {
+namespace {
+
+using Word = std::atomic_ref<uint64_t>;
+
+// Raises `word` to at least `value`.
+void FetchMax(uint64_t& word, uint64_t value) {
+  Word ref(word);
+  uint64_t prev = ref.load(std::memory_order_relaxed);
+  while (value > prev && !ref.compare_exchange_weak(prev, value, std::memory_order_relaxed)) {
   }
-  uint64_t prev_max = max_.load(std::memory_order_relaxed);
-  while (value > prev_max &&
-         !max_.compare_exchange_weak(prev_max, value, std::memory_order_relaxed)) {
+}
+
+uint64_t Load(const uint64_t& word) {
+  return Word(const_cast<uint64_t&>(word)).load(std::memory_order_relaxed);
+}
+
+}  // namespace
+
+Histogram::Shard& Histogram::Local() {
+  return shards_[CoreRegistry::PeekCurrentCore() & (kShards - 1)];
+}
+
+void Histogram::Record(uint64_t value) {
+  Shard& shard = Local();
+  Word(shard.buckets[BucketFor(value)]).fetch_add(1, std::memory_order_relaxed);
+  Word(shard.count).fetch_add(1, std::memory_order_relaxed);
+  Word(shard.sum).fetch_add(value, std::memory_order_relaxed);
+  FetchMax(shard.min_inverted, ~value);
+  FetchMax(shard.max, value);
+}
+
+void Histogram::SumBuckets(std::array<uint64_t, kBuckets>& out) const {
+  out.fill(0);
+  for (int s = 0; s < kShards; s++) {
+    if (Load(shards_[s].count) == 0) {
+      continue;  // never recorded into: skip its buckets (and its page)
+    }
+    for (int i = 0; i < kBuckets; i++) {
+      out[i] += Load(shards_[s].buckets[i]);
+    }
   }
 }
 
 void Histogram::Merge(const Histogram& other) {
+  std::array<uint64_t, kBuckets> buckets;
+  other.SumBuckets(buckets);
+  Shard& shard = Local();
   for (int i = 0; i < kBuckets; i++) {
-    uint64_t n = other.buckets_[i].load(std::memory_order_relaxed);
-    if (n != 0) {
-      buckets_[i].fetch_add(n, std::memory_order_relaxed);
+    if (buckets[i] != 0) {
+      Word(shard.buckets[i]).fetch_add(buckets[i], std::memory_order_relaxed);
     }
   }
-  count_.fetch_add(other.count_.load(std::memory_order_relaxed), std::memory_order_relaxed);
-  sum_.fetch_add(other.sum_.load(std::memory_order_relaxed), std::memory_order_relaxed);
-  uint64_t other_min = other.min_.load(std::memory_order_relaxed);
-  uint64_t prev_min = min_.load(std::memory_order_relaxed);
-  while (other_min < prev_min &&
-         !min_.compare_exchange_weak(prev_min, other_min, std::memory_order_relaxed)) {
-  }
-  uint64_t other_max = other.max_.load(std::memory_order_relaxed);
-  uint64_t prev_max = max_.load(std::memory_order_relaxed);
-  while (other_max > prev_max &&
-         !max_.compare_exchange_weak(prev_max, other_max, std::memory_order_relaxed)) {
-  }
+  Word(shard.count).fetch_add(other.SumOf(&Shard::count), std::memory_order_relaxed);
+  Word(shard.sum).fetch_add(other.SumOf(&Shard::sum), std::memory_order_relaxed);
+  FetchMax(shard.min_inverted, other.MaxOf(&Shard::min_inverted));
+  FetchMax(shard.max, other.MaxOf(&Shard::max));
 }
 
 void Histogram::Reset() {
-  for (auto& b : buckets_) {
-    b.store(0, std::memory_order_relaxed);
+  for (int s = 0; s < kShards; s++) {
+    Shard& shard = shards_[s];
+    if (Load(shard.count) == 0) {
+      continue;  // already empty; storing zeros would only back its page
+    }
+    for (uint64_t& bucket : shard.buckets) {
+      Word(bucket).store(0, std::memory_order_relaxed);
+    }
+    Word(shard.count).store(0, std::memory_order_relaxed);
+    Word(shard.sum).store(0, std::memory_order_relaxed);
+    Word(shard.min_inverted).store(0, std::memory_order_relaxed);
+    Word(shard.max).store(0, std::memory_order_relaxed);
   }
-  count_.store(0, std::memory_order_relaxed);
-  sum_.store(0, std::memory_order_relaxed);
-  min_.store(UINT64_MAX, std::memory_order_relaxed);
-  max_.store(0, std::memory_order_relaxed);
 }
 
-uint64_t Histogram::Count() const { return count_.load(std::memory_order_relaxed); }
+uint64_t Histogram::SumOf(uint64_t Shard::*field) const {
+  uint64_t sum = 0;
+  for (int s = 0; s < kShards; s++) {
+    sum += Load(shards_[s].*field);
+  }
+  return sum;
+}
 
-uint64_t Histogram::Sum() const { return sum_.load(std::memory_order_relaxed); }
+uint64_t Histogram::MaxOf(uint64_t Shard::*field) const {
+  uint64_t max = 0;
+  for (int s = 0; s < kShards; s++) {
+    max = std::max(max, Load(shards_[s].*field));
+  }
+  return max;
+}
+
+uint64_t Histogram::Count() const { return SumOf(&Shard::count); }
+
+uint64_t Histogram::Sum() const { return SumOf(&Shard::sum); }
 
 double Histogram::Mean() const {
   uint64_t n = Count();
   if (n == 0) {
     return 0;
   }
-  return static_cast<double>(sum_.load(std::memory_order_relaxed)) / static_cast<double>(n);
+  return static_cast<double>(Sum()) / static_cast<double>(n);
 }
 
 uint64_t Histogram::Min() const {
-  uint64_t v = min_.load(std::memory_order_relaxed);
-  return v == UINT64_MAX ? 0 : v;
+  const uint64_t min_inverted = MaxOf(&Shard::min_inverted);
+  return min_inverted == 0 ? 0 : ~min_inverted;
 }
 
-uint64_t Histogram::Max() const { return max_.load(std::memory_order_relaxed); }
+uint64_t Histogram::Max() const { return MaxOf(&Shard::max); }
 
 uint64_t Histogram::Percentile(double q) const {
   uint64_t n = Count();
@@ -105,9 +163,11 @@ uint64_t Histogram::Percentile(double q) const {
     return Max();
   }
   uint64_t target = static_cast<uint64_t>(q * static_cast<double>(n - 1)) + 1;
+  std::array<uint64_t, kBuckets> buckets;
+  SumBuckets(buckets);
   uint64_t seen = 0;
   for (int i = 0; i < kBuckets; i++) {
-    seen += buckets_[i].load(std::memory_order_relaxed);
+    seen += buckets[i];
     if (seen >= target) {
       // Clamp into the observed range: a bucket midpoint can under-shoot
       // Min() (single sample at the top of its bucket) or over-shoot Max().

@@ -16,13 +16,15 @@
 // too: a fetch_sub on another core's shard wraps that shard modulo 2^64, and
 // the modular sum is exact again once the matching fetch_add has landed.
 //
-// For statistics only. A value the runtime acts on stays a single
-// std::atomic: a bounded gauge read mid-churn can overshoot its bound when
-// the reader sees an add on one shard but not the earlier subtract on
-// another (TwoLevelFreelist::free_frames_ must never read above capacity),
-// and a value whose returned result is consumed (a clock hand, an epoch, an
-// id allocator) needs the single RMW's total order. fetch_add/fetch_sub
-// therefore return nothing.
+// A bounded gauge kept as one sharded counter can read above its bound: the
+// reader may see an add on one shard but not the earlier subtract on another.
+// Split it into two monotonic counters instead, each updated with release
+// order and read with acquire, the "decrements" counter after the
+// "increments" one: an increment seen then drags every decrement that
+// happened before it into the second read (TwoLevelFreelist::ApproxFree).
+// A value whose returned result is consumed (a clock hand, an epoch, an id
+// allocator) needs the single RMW's total order and stays one std::atomic;
+// fetch_add/fetch_sub therefore return nothing.
 #ifndef AQUILA_SRC_UTIL_SHARDED_COUNTER_H_
 #define AQUILA_SRC_UTIL_SHARDED_COUNTER_H_
 
@@ -48,6 +50,13 @@ class alignas(kCacheLineSize) ShardedCounter {
   }
   void fetch_sub(uint64_t n, std::memory_order order = std::memory_order_relaxed) {
     Local().fetch_sub(n, order);
+  }
+
+  // Zeroes every shard; an add racing it may survive or be lost.
+  void Reset() {
+    for (Shard& shard : shards_) {
+      shard.value.store(0, std::memory_order_relaxed);
+    }
   }
 
   uint64_t load(std::memory_order order = std::memory_order_relaxed) const {

@@ -51,10 +51,13 @@ void PostedIpiFabric::Send(SimClock& sender, int target_core, uint64_t handler_c
 
 void PostedIpiFabric::Absorb(SimClock& clock, int core) {
   AQUILA_CHECK(core >= 0 && core < CoreRegistry::kMaxCores);
-  uint64_t stolen = mailboxes_[core].stolen_cycles.exchange(0, std::memory_order_relaxed);
-  if (stolen != 0) {
-    clock.Charge(CostCategory::kTlbShootdown, stolen);
+  // Load before exchanging: most fault entries find the mailbox empty, and a
+  // plain load leaves its line shared instead of taking it exclusive.
+  std::atomic<uint64_t>& mailbox = mailboxes_[core].stolen_cycles;
+  if (mailbox.load(std::memory_order_relaxed) == 0) {
+    return;
   }
+  clock.Charge(CostCategory::kTlbShootdown, mailbox.exchange(0, std::memory_order_relaxed));
 }
 
 }  // namespace aquila

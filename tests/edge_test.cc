@@ -324,5 +324,47 @@ TEST(AllocWaitDeathTest, AllocationThatNeverGainsAFrameDumpsTheAllocatorAndFails
       "pending_reclaim=");
 }
 
+// Poll's twin of the allocation check: a batch request parked on a page
+// whose writeback owner never finishes (here: a frame left in kWritingBack
+// with nothing in flight) is kicked and re-parks forever. Poll must dump the
+// parked table, the engines' in-flight sets and the per-queue free counts,
+// then fail instead of spinning.
+TEST(PollWaitDeathTest, ParkThatIsNeverWokenDumpsTheSchedulerAndFails) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        PmemDevice::Options dev_options;
+        dev_options.capacity_bytes = 4ull << 20;
+        PmemDevice device(dev_options);
+        DeviceBacking backing(&device, 0, device.capacity_bytes());
+        Aquila::Options options;
+        options.cache.capacity_pages = 256;
+        options.cache.max_pages = 1024;
+        options.async_writeback = true;
+        options.coop_sched = true;
+        Aquila runtime(options);
+        StatusOr<MemoryMap*> map = runtime.Map(&backing, 1 << 20, kProtRead);
+        AQUILA_CHECK(map.ok());
+        AQUILA_CHECK((*map)->Advise(0, 1 << 20, Advice::kRandom).ok());
+        AQUILA_CHECK((*map)->TouchRead(0).ok());
+        // Unmap the page but keep it cached, owned by a writeback that no
+        // engine knows about: the next access takes the minor-fault path
+        // and parks at park point (b) with nothing in flight to wake it.
+        const uint64_t vaddr = static_cast<AquilaMap*>(*map)->vma().start_page << kPageShift;
+        const uint64_t pte = runtime.page_table().Remove(vaddr);
+        AQUILA_CHECK(Pte::Present(pte));
+        runtime.cache()
+            .frame(static_cast<FrameId>(Pte::Gpa(pte) >> kPageShift))
+            .state.store(FrameState::kWritingBack);
+        MmioRequest req;
+        req.kind = MmioRequest::Kind::kRead;
+        AQUILA_CHECK((*map)->SubmitBatch(std::span(&req, 1)).ok());
+        MmioCompletion out;
+        (void)(*map)->Poll(std::span(&out, 1));
+      },
+      "Poll made no progress in [0-9]+ rounds(.|\n)*parked: token=[0-9]+ key=0x(.|\n)*"
+      "in_flight=0(.|\n)*numa 0 queue: free=");
+}
+
 }  // namespace
 }  // namespace aquila

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <thread>
@@ -327,6 +328,82 @@ TEST(FreelistStressTest, ChainReleaseKeepsStampsAndExactCount) {
   }
   EXPECT_EQ(drained, kFrames);
   EXPECT_EQ(fl.ApproxFree(), 0u);
+}
+
+// ApproxFree's conservative read, forced. Core 1 allocates every frame it
+// can and hands each to core 2, which frees it into its own queue (it
+// overflows straight to the NUMA level, where core 1 finds it again), so a
+// frame's allocation and its free land on different counter shards while a
+// sampler asserts the bound. The free count must be read before the
+// allocation count: a reader that takes an old allocation count and then a
+// newer free count counts every frame that cycled in between twice. The
+// race points around the counter updates and between ApproxFree's two reads
+// stretch exactly those windows in a race-inject build. The hand-offs stop
+// after a second: oversubscribed, each one can wait out a time slice.
+TEST(FreelistStressTest, ApproxFreeNeverExceedsCapacityAcrossCoreHandoff) {
+  constexpr uint32_t kFrames = 8;
+  constexpr uint64_t kHandoffs = 20000;
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(1);
+  TwoLevelFreelist::Options options;
+  options.core_queue_threshold = 0;  // every free migrates to the NUMA queue
+  options.move_batch = 1;
+  TwoLevelFreelist fl(kFrames, options);
+  fl.AddFrames(0, kFrames);
+
+  std::atomic<FrameId> in_transit{kInvalidFrame};
+  std::atomic<uint64_t> sent_total{~0ull};  // set once the allocator stops
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> overshoots{0};
+  std::atomic<uint64_t> samples{0};
+
+  std::thread sampler([&] {
+    CoreRegistry::SetCurrentCoreForTest(3);
+    while (!stop.load(std::memory_order_acquire)) {
+      if (fl.ApproxFree() > kFrames) {
+        overshoots.fetch_add(1, std::memory_order_relaxed);
+      }
+      samples.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+  std::thread freer([&] {
+    CoreRegistry::SetCurrentCoreForTest(2);
+    for (uint64_t freed = 0; freed < sent_total.load(std::memory_order_acquire);) {
+      FrameId f = in_transit.exchange(kInvalidFrame, std::memory_order_acq_rel);
+      if (f == kInvalidFrame) {
+        std::this_thread::yield();
+        continue;
+      }
+      fl.Free(2, f);
+      freed++;
+    }
+  });
+  std::thread allocator([&] {
+    CoreRegistry::SetCurrentCoreForTest(1);
+    uint64_t sent = 0;
+    while (sent < kHandoffs && std::chrono::steady_clock::now() < deadline) {
+      FrameId f = fl.Alloc(1);
+      if (f == kInvalidFrame) {
+        std::this_thread::yield();  // every frame is between the two cores
+        continue;
+      }
+      FrameId empty = kInvalidFrame;
+      while (!in_transit.compare_exchange_weak(empty, f, std::memory_order_acq_rel)) {
+        empty = kInvalidFrame;
+        std::this_thread::yield();
+      }
+      sent++;
+    }
+    sent_total.store(sent, std::memory_order_release);
+  });
+  allocator.join();
+  freer.join();
+  stop.store(true, std::memory_order_release);
+  sampler.join();
+
+  EXPECT_EQ(overshoots.load(), 0u) << "ApproxFree exceeded capacity in " << overshoots.load()
+                                   << " of " << samples.load() << " samples";
+  EXPECT_GT(samples.load(), 0u);
+  EXPECT_EQ(fl.ApproxFree(), kFrames);  // exact at quiescence
 }
 
 // Per-core exhaustion -> NUMA refill -> remote steal: one hoarder empties

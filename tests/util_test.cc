@@ -103,6 +103,74 @@ TEST(HistogramTest, ConcurrentRecording) {
   EXPECT_EQ(h.Count(), 40000u);
 }
 
+// Record writes only the calling core's shard; every read folds the shards.
+// 8 threads on distinct cores plus one unregistered thread (the last shard)
+// record into one histogram at once; once they join, every statistic must
+// equal a single-threaded reference fed the same values, and so must a Merge
+// of it, and a Reset must leave it empty.
+TEST(HistogramTest, ShardedRecordingFoldsExactly) {
+  constexpr int kRegistered = 8;
+  constexpr uint64_t kPerThread = 20000;
+  auto value = [](int t, uint64_t i) {
+    return (i * 7919 + static_cast<uint64_t>(t) * 104729) % 3000000 + static_cast<uint64_t>(t);
+  };
+  Histogram shared;
+  std::vector<std::thread> threads;
+  for (int t = 0; t <= kRegistered; t++) {
+    threads.emplace_back([&shared, &value, t] {
+      if (t < kRegistered) {
+        CoreRegistry::SetCurrentCoreForTest(t);
+      }
+      for (uint64_t i = 0; i < kPerThread; i++) {
+        shared.Record(value(t, i));
+      }
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  Histogram reference;
+  for (int t = 0; t <= kRegistered; t++) {
+    for (uint64_t i = 0; i < kPerThread; i++) {
+      reference.Record(value(t, i));
+    }
+  }
+  auto expect_equal = [&reference](const Histogram& h) {
+    EXPECT_EQ(h.Count(), reference.Count());
+    EXPECT_EQ(h.Sum(), reference.Sum());
+    EXPECT_EQ(h.Min(), reference.Min());
+    EXPECT_EQ(h.Max(), reference.Max());
+    for (double q : {0.0, 0.5, 0.9, 0.99, 0.999, 1.0}) {
+      EXPECT_EQ(h.Percentile(q), reference.Percentile(q)) << q;
+    }
+  };
+  EXPECT_EQ(shared.Count(), (kRegistered + 1) * kPerThread);
+  expect_equal(shared);
+
+  // Merge from another core into a histogram that already holds samples on
+  // a third core's shard.
+  Histogram merged;
+  std::thread([&merged, &shared] {
+    CoreRegistry::SetCurrentCoreForTest(11);
+    merged.Record(5);
+    CoreRegistry::SetCurrentCoreForTest(12);
+    merged.Merge(shared);
+  }).join();
+  reference.Record(5);
+  expect_equal(merged);
+
+  shared.Reset();
+  EXPECT_EQ(shared.Count(), 0u);
+  EXPECT_EQ(shared.Sum(), 0u);
+  EXPECT_EQ(shared.Min(), 0u);
+  EXPECT_EQ(shared.Max(), 0u);
+  EXPECT_EQ(shared.Percentile(0.5), 0u);
+  shared.Record(42);
+  EXPECT_EQ(shared.Count(), 1u);
+  EXPECT_EQ(shared.Min(), 42u);
+  EXPECT_EQ(shared.Max(), 42u);
+}
+
 TEST(HistogramTest, EmptyHistogram) {
   Histogram h;
   EXPECT_EQ(h.Count(), 0u);
