@@ -39,6 +39,7 @@ Aquila::Aquila(const Options& options)
   pending_ = std::make_unique<PendingReclaim[]>(CoreRegistry::kMaxCores);
 
   metrics_.AddCounter("aquila.core.major_faults", fault_stats_.major_faults);
+  metrics_.AddCounter("aquila.core.overwrite_fills", fault_stats_.overwrite_fills);
   metrics_.AddCounter("aquila.core.minor_faults", fault_stats_.minor_faults);
   metrics_.AddCounter("aquila.core.write_upgrades", fault_stats_.write_upgrades);
   metrics_.AddCounter("aquila.core.evict_batches", fault_stats_.evict_batches);

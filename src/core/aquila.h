@@ -85,7 +85,10 @@ struct HugeStats {
 // device paths, each field is a ShardedCounter (DESIGN.md §8): a read is a
 // sum of per-core shards, exact only at quiesce.
 struct FaultStats {
-  ShardedCounter major_faults;    // page read from the device
+  ShardedCounter major_faults;    // miss that allocated a frame
+  // Major faults of a whole-page Write filled from the writer's bytes, with
+  // no device read.
+  ShardedCounter overwrite_fills;
   ShardedCounter minor_faults;    // page was in cache, mapping installed
   ShardedCounter write_upgrades;  // write fault on a read-only mapping
   ShardedCounter evict_batches;  // shootdown-and-free flushes of reclaimed pages

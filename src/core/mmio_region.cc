@@ -252,7 +252,8 @@ Status AquilaMap::HandleTrapFault(uint64_t vaddr, bool write) {
 }
 
 StatusOr<AquilaMap::PageRef> AquilaMap::AccessPage(uint64_t offset, bool write,
-                                                   CoopContext* coop) {
+                                                   CoopContext* coop,
+                                                   const uint8_t* overwrite) {
   if (offset >= length_) {
     return Status::InvalidArgument("access beyond mapping");
   }
@@ -293,7 +294,7 @@ StatusOr<AquilaMap::PageRef> AquilaMap::AccessPage(uint64_t offset, bool write,
     }
     ref.faulted = false;
   } else {
-    StatusOr<FrameId> faulted = HandleFault(vcpu, vaddr, write, coop);
+    StatusOr<FrameId> faulted = HandleFault(vcpu, vaddr, write, coop, overwrite, &ref.filled);
     if (coop != nullptr && coop->parked) {
       // The fault parked as a continuation; the scheduler re-runs the whole
       // access on wake. Nothing to hand out yet.
@@ -325,7 +326,8 @@ StatusOr<AquilaMap::PageRef> AquilaMap::AccessPage(uint64_t offset, bool write,
 }
 
 StatusOr<FrameId> AquilaMap::HandleFault(Vcpu& vcpu, uint64_t vaddr, bool write,
-                                         CoopContext* coop) {
+                                         CoopContext* coop, const uint8_t* overwrite,
+                                         bool* filled) {
   // Entry lock held by the caller. This is operation ①: an exception taken
   // and handled entirely in non-root ring 0 — no protection-domain switch.
   runtime_->fabric().Absorb(vcpu.clock(), vcpu.core());
@@ -591,6 +593,10 @@ StatusOr<FrameId> AquilaMap::HandleFault(Vcpu& vcpu, uint64_t vaddr, bool write,
   // failure backstop below a single call. A cooperative demand fill forgoes
   // elision: its fill completes in CompleteLocked, where the failure
   // backstop below cannot run (same reason read-ahead fills never elide).
+  // An overwrite fill keeps elision: stale entries for this page see its
+  // current bytes, copied in before any translation goes live, and the copy
+  // cannot fail, so the backstop is never needed for it.
+  AQUILA_DCHECK(overwrite == nullptr || coop == nullptr);
   const bool coop_fill = coop != nullptr && coop->sched != nullptr;
   const bool elided = runtime_->ResolveReuseStamp(vcpu, stamp, frame, page,
                                                   vma_.mapping_id,
@@ -631,7 +637,7 @@ StatusOr<FrameId> AquilaMap::HandleFault(Vcpu& vcpu, uint64_t vaddr, bool write,
     // Parked table full (token == 0) or submission rejected: block instead.
   }
 
-  Status fill = FillAndPublish(vcpu, frame, vaddr, key, write);
+  Status fill = FillAndPublish(vcpu, frame, vaddr, key, write, overwrite);
   if (!fill.ok()) {
     if (elided) {
       // The elision re-legitimized stale entries against this frame's old
@@ -643,8 +649,12 @@ StatusOr<FrameId> AquilaMap::HandleFault(Vcpu& vcpu, uint64_t vaddr, bool write,
     return fill;
   }
   runtime_->fault_stats().major_faults.fetch_add(1, std::memory_order_relaxed);
-
-  if (advice_.load(std::memory_order_relaxed) == Advice::kSequential) {
+  if (overwrite != nullptr) {
+    // No device read, so no read-ahead either: a writer replacing whole
+    // pages would only overwrite what the window fetched.
+    runtime_->fault_stats().overwrite_fills.fetch_add(1, std::memory_order_relaxed);
+    *filled = true;
+  } else if (advice_.load(std::memory_order_relaxed) == Advice::kSequential) {
     (void)ReadAhead(vcpu, file_page);  // best effort: a failed prefetch is not a fault error
   }
   AQUILA_TELEMETRY_ONLY(
@@ -653,24 +663,30 @@ StatusOr<FrameId> AquilaMap::HandleFault(Vcpu& vcpu, uint64_t vaddr, bool write,
 }
 
 Status AquilaMap::FillAndPublish(Vcpu& vcpu, FrameId frame, uint64_t vaddr, uint64_t key,
-                                 bool write) {
+                                 bool write, const uint8_t* overwrite) {
   PageCache& cache = runtime_->cache();
   Frame& f = cache.frame(frame);
   uint64_t file_page = FilePageOfKey(key);
   uint64_t file_offset = file_page * kPageSize;
 
+  // The frame's bytes land before anything below publishes it: a recycled
+  // frame still holds its last page, which no reader may see.
   uint8_t* data = cache.FrameData(vcpu, frame);
-  uint64_t read_len = std::min<uint64_t>(kPageSize, backing_->size_bytes() - file_offset);
-  Status status;
-  {
-    telemetry::ChildSpan device_span(vcpu.clock(), telemetry::SpanPhase::kDevice, file_offset);
-    status = backing_->ReadRange(vcpu, file_offset, std::span(data, read_len));
-  }
-  if (!status.ok()) {
-    return status;
-  }
-  if (read_len < kPageSize) {
-    std::memset(data + read_len, 0, kPageSize - read_len);
+  if (overwrite != nullptr) {
+    std::memcpy(data, overwrite, kPageSize);
+  } else {
+    uint64_t read_len = std::min<uint64_t>(kPageSize, backing_->size_bytes() - file_offset);
+    Status status;
+    {
+      telemetry::ChildSpan device_span(vcpu.clock(), telemetry::SpanPhase::kDevice, file_offset);
+      status = backing_->ReadRange(vcpu, file_offset, std::span(data, read_len));
+    }
+    if (!status.ok()) {
+      return status;
+    }
+    if (read_len < kPageSize) {
+      std::memset(data + read_len, 0, kPageSize - read_len);
+    }
   }
 
   telemetry::ChildSpan publish_span(vcpu.clock(), telemetry::SpanPhase::kFillCopy, vaddr);
@@ -1103,11 +1119,19 @@ Status AquilaMap::Write(uint64_t offset, std::span<const uint8_t> src) {
   while (done < src.size()) {
     uint64_t in_page = (offset + done) % kPageSize;
     uint64_t run = std::min<uint64_t>(src.size() - done, kPageSize - in_page);
-    StatusOr<PageRef> ref = AccessPage(offset + done, /*write=*/true);
+    // A run that replaces its whole page needs none of the page's old bytes:
+    // a miss fills the frame from the run instead of the device (DESIGN.md
+    // §8). The run lies inside length_, so inside the backing too. Huge-page
+    // mappings keep the device read.
+    const uint8_t* overwrite =
+        run == kPageSize && spans_ == nullptr ? src.data() + done : nullptr;
+    StatusOr<PageRef> ref = AccessPage(offset + done, /*write=*/true, nullptr, overwrite);
     if (!ref.ok()) {
       return ref.status();
     }
-    std::memcpy(ref->data + in_page, src.data() + done, run);
+    if (!ref->filled) {
+      std::memcpy(ref->data + in_page, src.data() + done, run);
+    }
     UnlockPage(vma_.start_page + ((offset + done) >> kPageShift));
     if (ref->promote_span != kNoSpan) {
       MaybePromote(ThisVcpu(), ref->promote_span);

@@ -90,6 +90,9 @@ class AquilaMap : public MemoryMap {
   struct PageRef {
     uint8_t* data = nullptr;
     bool faulted = false;
+    // The fault filled the frame from the caller's overwrite bytes: the page
+    // already holds them, so the caller skips its own copy.
+    bool filled = false;
     // Span whose density crossed the promotion threshold during this access;
     // the wrapper promotes AFTER UnlockPage — promotion retires 4K frames,
     // so running it while `data` is live would free the page under the
@@ -156,14 +159,18 @@ class AquilaMap : public MemoryMap {
   // Locks the page entry, resolves (faulting if needed), returns the frame
   // data. Caller must UnlockPage(page) afterwards — except when the access
   // parked (coop != nullptr and coop->parked), where the lock was already
-  // released and the returned PageRef is empty.
-  StatusOr<PageRef> AccessPage(uint64_t offset, bool write, CoopContext* coop = nullptr);
+  // released and the returned PageRef is empty. `overwrite` is a whole-page
+  // Write's kPageSize source bytes (never with `coop`): a major fault fills
+  // the new frame from them instead of the device and sets PageRef::filled.
+  StatusOr<PageRef> AccessPage(uint64_t offset, bool write, CoopContext* coop = nullptr,
+                               const uint8_t* overwrite = nullptr);
   void UnlockPage(uint64_t page) { runtime_->vma_tree().UnlockEntry(page); }
 
   // Fault handling (entry lock held). Returns the resident frame, or parks
-  // (coop->parked set, kInvalidFrame returned) at a wait point.
-  StatusOr<FrameId> HandleFault(Vcpu& vcpu, uint64_t vaddr, bool write,
-                                CoopContext* coop = nullptr);
+  // (coop->parked set, kInvalidFrame returned) at a wait point. A major
+  // fault given `overwrite` fills from it and sets `*filled`.
+  StatusOr<FrameId> HandleFault(Vcpu& vcpu, uint64_t vaddr, bool write, CoopContext* coop,
+                                const uint8_t* overwrite, bool* filled);
   // One cooperative step of a batch task: resumes a parked task (or skips it
   // when not yet woken), runs the access, and either completes the task or
   // parks it again. Called by CoreScheduler::RunReady on the owning core.
@@ -215,8 +222,10 @@ class AquilaMap : public MemoryMap {
   // clean mapped page's shootdown (kReuseElide on Advise(kDontNeed) only).
   void ReclaimPage(Vcpu& vcpu, FrameId frame, uint64_t page, bool defer_clean,
                    ReclaimBatch* batch);
-  // Fills `frame` for (vaddr,key) from the backing and publishes it.
-  Status FillAndPublish(Vcpu& vcpu, FrameId frame, uint64_t vaddr, uint64_t key, bool write);
+  // Fills `frame` for (vaddr,key) and publishes it: from `overwrite` (a
+  // whole page; cannot fail) when given, else from the backing.
+  Status FillAndPublish(Vcpu& vcpu, FrameId frame, uint64_t vaddr, uint64_t key, bool write,
+                        const uint8_t* overwrite);
 
   // Records the outcome of one writeback batch (sync) or completion (async):
   // failures count toward the degradation limit, a success resets the count.

@@ -1,5 +1,6 @@
 #include "src/kvs/kreon_db.h"
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -174,8 +175,19 @@ StatusOr<uint64_t> KreonDb::AppendLog(const Slice& key, const Slice& value, bool
     return Status::OutOfSpace("Kreon log full");
   }
   uint64_t offset = log_head_;
+  // A record whose last page begins inside it is the first write to that
+  // page: pad it with zeros to the page's end, so the fresh page is one
+  // whole-page write and the mapping fills it with no device read. Bytes
+  // past log_head_ are never read; recovery trusts the superblock's
+  // log_head alone.
+  const uint64_t start = log_base_ + offset;
+  const uint64_t last_page = AlignDown(start + record_bytes - 1, kPageSize);
+  uint64_t write_bytes = record_bytes;
+  if (last_page >= start) {
+    write_bytes = std::min(last_page + kPageSize, map_->length()) - start;
+  }
   std::string record;
-  record.reserve(record_bytes);
+  record.reserve(write_bytes);
   uint32_t klen = static_cast<uint32_t>(key.size());
   uint32_t vlen = static_cast<uint32_t>(value.size());
   record.append(reinterpret_cast<const char*>(&klen), 4);
@@ -183,9 +195,9 @@ StatusOr<uint64_t> KreonDb::AppendLog(const Slice& key, const Slice& value, bool
   record.push_back(tombstone ? 1 : 0);
   record.append(key.data(), key.size());
   record.append(value.data(), value.size());
+  record.resize(write_bytes);
   AQUILA_RETURN_IF_ERROR(map_->Write(
-      log_base_ + offset,
-      std::span(reinterpret_cast<const uint8_t*>(record.data()), record.size())));
+      start, std::span(reinterpret_cast<const uint8_t*>(record.data()), record.size())));
   log_head_ += record_bytes;
   return offset;
 }

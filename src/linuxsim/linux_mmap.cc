@@ -192,7 +192,8 @@ LinuxMap::~LinuxMap() {
 }
 
 StatusOr<LinuxMap::PageEntry*> LinuxMap::ResolveLocked(Vcpu& vcpu, uint64_t file_page,
-                                                       bool write, bool* faulted) {
+                                                       bool write, bool* faulted,
+                                                       const uint8_t* overwrite, bool* filled) {
   const LinuxMmapEngine::Options& options = engine_->options_;
   auto it = pages_.find(file_page);
   if (it != pages_.end()) {
@@ -234,7 +235,7 @@ StatusOr<LinuxMap::PageEntry*> LinuxMap::ResolveLocked(Vcpu& vcpu, uint64_t file
   // Fault read-ahead: Linux reads a 128 KB cluster around the miss.
   uint64_t map_pages = AlignUp(length_, kPageSize) / kPageSize;
   uint64_t window = 1;
-  if (advice_ != Advice::kRandom) {
+  if (advice_ != Advice::kRandom && overwrite == nullptr) {
     window = std::max<uint32_t>(1, options.readahead_pages);
   }
   uint64_t last = std::min(file_page + window, map_pages);
@@ -274,7 +275,13 @@ StatusOr<LinuxMap::PageEntry*> LinuxMap::ResolveLocked(Vcpu& vcpu, uint64_t file
     // delivers SIGBUS for such accesses. Callers see it as an I/O error.
     return Status::IoError("mmap access beyond end of file (SIGBUS)");
   }
-  Status status = backing_->ReadPages(vcpu, offsets, buffers, kPageSize);
+  Status status;
+  if (overwrite != nullptr) {
+    std::memcpy(buffers.front(), overwrite, kPageSize);
+    *filled = true;
+  } else {
+    status = backing_->ReadPages(vcpu, offsets, buffers, kPageSize);
+  }
   if (!status.ok()) {
     for (PageEntry* entry : fresh) {
       (void)engine_->DropEntryLocked(vcpu, entry, false);
@@ -331,14 +338,20 @@ Status LinuxMap::Write(uint64_t offset, std::span<const uint8_t> src) {
   while (done < src.size()) {
     uint64_t in_page = (offset + done) % kPageSize;
     uint64_t run = std::min<uint64_t>(src.size() - done, kPageSize - in_page);
+    // The rule AquilaMap::Write follows: a run replacing its whole page
+    // faults it in with no device read.
+    const uint8_t* overwrite = run == kPageSize ? src.data() + done : nullptr;
     bool faulted;
+    bool filled = false;
     std::lock_guard<std::mutex> guard(engine_->mu_);
     StatusOr<PageEntry*> entry = ResolveLocked(vcpu, (offset + done) >> kPageShift,
-                                               /*write=*/true, &faulted);
+                                               /*write=*/true, &faulted, overwrite, &filled);
     if (!entry.ok()) {
       return entry.status();
     }
-    std::memcpy((*entry)->data + in_page, src.data() + done, run);
+    if (!filled) {
+      std::memcpy((*entry)->data + in_page, src.data() + done, run);
+    }
     done += run;
   }
   return Status::Ok();

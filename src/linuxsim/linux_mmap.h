@@ -148,7 +148,11 @@ class LinuxMap : public MemoryMap {
 
   // Returns the entry for `file_page`, faulting it in if needed. Caller
   // holds engine->mu_. `faulted` reports whether a fault was taken.
-  StatusOr<PageEntry*> ResolveLocked(Vcpu& vcpu, uint64_t file_page, bool write, bool* faulted);
+  // `overwrite` is a whole-page Write's kPageSize source bytes: a major fault
+  // copies them into the new page instead of reading (and reads no window
+  // around it), and `*filled` reports that it did.
+  StatusOr<PageEntry*> ResolveLocked(Vcpu& vcpu, uint64_t file_page, bool write, bool* faulted,
+                                     const uint8_t* overwrite = nullptr, bool* filled = nullptr);
 
   LinuxMmapEngine* engine_;
   Backing* backing_;

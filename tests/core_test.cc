@@ -29,7 +29,10 @@ class AquilaTest : public ::testing::Test {
     PmemDevice::Options dev_options;
     dev_options.capacity_bytes = kDeviceBytes;
     device_ = std::make_unique<PmemDevice>(dev_options);
+    runtime_ = std::make_unique<Aquila>(RuntimeOptions());
+  }
 
+  static Aquila::Options RuntimeOptions() {
     Aquila::Options options;
     options.hypervisor.host_memory_bytes = 256ull << 20;
     options.hypervisor.chunk_size = 1ull << 20;
@@ -38,7 +41,7 @@ class AquilaTest : public ::testing::Test {
     options.cache.eviction_batch = 64;  // scaled for small test caches
     options.cache.freelist.core_queue_threshold = 64;
     options.cache.freelist.move_batch = 32;
-    runtime_ = std::make_unique<Aquila>(options);
+    return options;
   }
 
   // Fills device offset range with a deterministic pattern.
@@ -490,6 +493,186 @@ TEST_F(AquilaTest, BlobBackedMapping) {
   ASSERT_TRUE((*store)->ReadBlob(vcpu, *blob, 128 * 1024, std::span(check)).ok());
   EXPECT_EQ(check, out);
   ASSERT_TRUE(runtime_->Unmap(*map).ok());
+}
+
+// --- Whole-page overwrites (DESIGN.md §8) ------------------------------------
+//
+// A Write run that replaces a whole page needs none of the page's old bytes:
+// its major fault fills the new frame from the run, with no device read.
+
+uint64_t PageWord(uint64_t tag, uint64_t page, uint64_t word) {
+  return (tag << 48) | (page << 12) | word;
+}
+
+// One page of PageWord(tag, page, ·).
+std::vector<uint8_t> StampedPage(uint64_t tag, uint64_t page) {
+  std::vector<uint8_t> bytes(kPageSize);
+  for (uint64_t w = 0; w < kPageSize / 8; w++) {
+    const uint64_t value = PageWord(tag, page, w);
+    std::memcpy(bytes.data() + w * 8, &value, 8);
+  }
+  return bytes;
+}
+
+TEST_F(AquilaTest, WholePageWriteToUntouchedPageReadsNothing) {
+  FillDevice(0, 1 << 20);
+  DeviceBacking backing(device_.get(), 0, 1 << 20);
+  StatusOr<MemoryMap*> map = runtime_->Map(&backing, 1 << 20, kProtRead | kProtWrite);
+  ASSERT_TRUE(map.ok());
+  const std::vector<uint8_t> page = StampedPage(7, 5);
+  const uint64_t reads = device_->stats().reads.load();
+  const uint64_t majors = runtime_->fault_stats().major_faults.load();
+  ASSERT_TRUE((*map)->Write(5 * kPageSize, std::span<const uint8_t>(page)).ok());
+  EXPECT_EQ(device_->stats().reads.load(), reads);
+  // Still a major fault (a miss that allocated a frame), counted as elided.
+  EXPECT_EQ(runtime_->fault_stats().major_faults.load(), majors + 1);
+  EXPECT_EQ(runtime_->fault_stats().overwrite_fills.load(), 1u);
+  EXPECT_EQ(runtime_->cache().TotalDirty(), 1u);
+  std::vector<uint8_t> back(kPageSize);
+  ASSERT_TRUE((*map)->Read(5 * kPageSize, std::span(back)).ok());
+  EXPECT_EQ(back, page);
+  EXPECT_EQ(device_->stats().reads.load(), reads);
+
+  ASSERT_TRUE((*map)->Sync(0, 1 << 20).ok());
+  EXPECT_EQ(runtime_->cache().TotalDirty(), 0u);
+  EXPECT_EQ(std::memcmp(device_->dax_base() + 5 * kPageSize, page.data(), kPageSize), 0);
+  ASSERT_TRUE(runtime_->Unmap(*map).ok());
+
+  // A fresh runtime has nothing cached: the remap reads the page back from
+  // the device.
+  runtime_ = std::make_unique<Aquila>(RuntimeOptions());
+  map = runtime_->Map(&backing, 1 << 20, kProtRead);
+  ASSERT_TRUE(map.ok());
+  ASSERT_TRUE((*map)->Read(5 * kPageSize, std::span(back)).ok());
+  EXPECT_EQ(back, page);
+  EXPECT_EQ(runtime_->fault_stats().overwrite_fills.load(), 0u);
+  ASSERT_TRUE(runtime_->Unmap(*map).ok());
+}
+
+TEST_F(AquilaTest, PartialWriteToUntouchedPageStillReads) {
+  FillDevice(0, 1 << 20);
+  DeviceBacking backing(device_.get(), 0, 1 << 20);
+  StatusOr<MemoryMap*> map = runtime_->Map(&backing, 1 << 20, kProtRead | kProtWrite);
+  ASSERT_TRUE(map.ok());
+  const std::vector<uint8_t> out(kPageSize - 1, 0xE5);
+  const uint64_t reads = device_->stats().reads.load();
+  ASSERT_TRUE((*map)->Write(3 * kPageSize + 1, std::span<const uint8_t>(out)).ok());
+  EXPECT_EQ(device_->stats().reads.load(), reads + 1);
+  EXPECT_EQ(runtime_->fault_stats().overwrite_fills.load(), 0u);
+  std::vector<uint8_t> back(kPageSize);
+  ASSERT_TRUE((*map)->Read(3 * kPageSize, std::span(back)).ok());
+  EXPECT_EQ(back[0], PatternAt(3 * kPageSize));  // the byte around the write
+  for (uint64_t i = 1; i < kPageSize; i++) {
+    ASSERT_EQ(back[i], 0xE5) << i;
+  }
+  ASSERT_TRUE(runtime_->Unmap(*map).ok());
+  EXPECT_EQ(device_->dax_base()[3 * kPageSize], PatternAt(3 * kPageSize));
+  EXPECT_EQ(device_->dax_base()[4 * kPageSize - 1], 0xE5);
+}
+
+TEST_F(AquilaTest, MultiPageWriteSkipsTheReadOnlyForCoveredPages) {
+  FillDevice(0, 1 << 20);
+  DeviceBacking backing(device_.get(), 0, 1 << 20);
+  StatusOr<MemoryMap*> map = runtime_->Map(&backing, 1 << 20, kProtRead | kProtWrite);
+  ASSERT_TRUE(map.ok());
+  // Covers the tail of page 2, all of pages 3 and 4, and the head of page 5.
+  constexpr uint64_t kStart = 2 * kPageSize + 100;
+  const std::vector<uint8_t> out(3 * kPageSize, 0x3C);
+  const uint64_t reads = device_->stats().reads.load();
+  ASSERT_TRUE((*map)->Write(kStart, std::span<const uint8_t>(out)).ok());
+  EXPECT_EQ(device_->stats().reads.load(), reads + 2);  // pages 2 and 5
+  EXPECT_EQ(runtime_->fault_stats().overwrite_fills.load(), 2u);
+  EXPECT_EQ(runtime_->cache().TotalDirty(), 4u);
+  std::vector<uint8_t> back(4 * kPageSize);
+  ASSERT_TRUE((*map)->Read(2 * kPageSize, std::span(back)).ok());
+  for (uint64_t i = 0; i < back.size(); i++) {
+    const uint64_t off = 2 * kPageSize + i;
+    const bool written = off >= kStart && off < kStart + out.size();
+    ASSERT_EQ(back[i], written ? 0x3C : PatternAt(off)) << off;
+  }
+  ASSERT_TRUE(runtime_->Unmap(*map).ok());
+}
+
+// Frames recycle between two mappings while one thread replaces whole pages
+// of the second, round after round, and another reads them: a frame filled
+// from the writer's bytes must hold them before anything publishes it, so
+// every read sees the page's device stamp (tag 2) or one whole written page
+// (tags 3..), never the first mapping's bytes (tag 1) left in the recycled
+// frame.
+TEST_F(AquilaTest, OverwriteFillNeverExposesARecycledFramesBytes) {
+  constexpr uint64_t kPagesA = 2 * kCachePages;
+  constexpr uint64_t kPagesB = kCachePages;
+  constexpr uint64_t kOffsetB = kPagesA * kPageSize;
+  for (uint64_t p = 0; p < kPagesA; p++) {
+    std::memcpy(device_->dax_base() + p * kPageSize, StampedPage(1, p).data(), kPageSize);
+  }
+  for (uint64_t p = 0; p < kPagesB; p++) {
+    std::memcpy(device_->dax_base() + kOffsetB + p * kPageSize, StampedPage(2, p).data(),
+                kPageSize);
+  }
+  DeviceBacking backing_a(device_.get(), 0, kPagesA * kPageSize);
+  DeviceBacking backing_b(device_.get(), kOffsetB, kPagesB * kPageSize);
+  StatusOr<MemoryMap*> map_a = runtime_->Map(&backing_a, kPagesA * kPageSize, kProtRead);
+  StatusOr<MemoryMap*> map_b =
+      runtime_->Map(&backing_b, kPagesB * kPageSize, kProtRead | kProtWrite);
+  ASSERT_TRUE(map_a.ok());
+  ASSERT_TRUE(map_b.ok());
+
+  std::atomic<bool> writing{true};
+  std::atomic<uint64_t> bad_reads{0};
+  std::thread churn([&] {
+    runtime_->EnterThread();
+    Rng rng(11);
+    while (writing.load(std::memory_order_relaxed)) {
+      (void)(*map_a)->TouchRead(rng.Uniform(kPagesA) * kPageSize);
+    }
+  });
+  std::thread reader([&] {
+    runtime_->EnterThread();
+    Rng rng(12);
+    std::vector<uint8_t> page(kPageSize);
+    while (writing.load(std::memory_order_relaxed)) {
+      const uint64_t p = rng.Uniform(kPagesB);
+      uint64_t first = 0;
+      if (!(*map_b)->Read(p * kPageSize, std::span(page)).ok()) {
+        bad_reads.fetch_add(1);
+        continue;
+      }
+      std::memcpy(&first, page.data(), 8);
+      const uint64_t tag = first >> 48;
+      if (tag < 2 || page != StampedPage(tag, p)) {
+        bad_reads.fetch_add(1);
+      }
+    }
+  });
+  runtime_->EnterThread();
+  constexpr uint64_t kRounds = 4;
+  auto write_rounds = [&] {
+    for (uint64_t round = 0; round < kRounds; round++) {
+      for (uint64_t p = 0; p < kPagesB; p++) {
+        const std::vector<uint8_t> page = StampedPage(3 + round, p);
+        if (!(*map_b)->Write(p * kPageSize, std::span<const uint8_t>(page)).ok()) {
+          return false;
+        }
+      }
+    }
+    return true;
+  };
+  const bool written = write_rounds();
+  writing.store(false);
+  churn.join();
+  reader.join();
+  ASSERT_TRUE(written);
+  EXPECT_EQ(bad_reads.load(), 0u);
+  EXPECT_GT(runtime_->fault_stats().overwrite_fills.load(), 0u);
+  EXPECT_GT(runtime_->fault_stats().evicted_pages.load(), 0u);
+  std::vector<uint8_t> page(kPageSize);
+  for (uint64_t p = 0; p < kPagesB; p++) {
+    ASSERT_TRUE((*map_b)->Read(p * kPageSize, std::span(page)).ok());
+    ASSERT_EQ(page, StampedPage(2 + kRounds, p)) << p;
+  }
+  ASSERT_TRUE(runtime_->Unmap(*map_a).ok());
+  ASSERT_TRUE(runtime_->Unmap(*map_b).ok());
 }
 
 // --- Async overlapped writeback/readahead pipeline ---------------------------

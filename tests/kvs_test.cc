@@ -513,5 +513,103 @@ TEST_F(KreonFixture, RejectsOversizeKeys) {
   EXPECT_FALSE((*db)->Put(Slice("", 0), "v").ok());
 }
 
+// Kreon pads a record that is the first write to a page out to that page's
+// end, so the mapping fills the fresh log page from the record with no
+// device read (DESIGN.md §8). The padding must never cost an acknowledged
+// value: the cache here is small enough to evict partly filled log pages,
+// and records of up to ~2.5 KB cross page boundaries all the time.
+class KreonEvictionTest : public ::testing::Test {
+ protected:
+  static constexpr uint64_t kDeviceBytes = 16ull << 20;
+
+  KreonEvictionTest() {
+    PmemDevice::Options dev_options;
+    dev_options.capacity_bytes = kDeviceBytes;
+    device_ = std::make_unique<PmemDevice>(dev_options);
+    backing_ = std::make_unique<DeviceBacking>(device_.get(), 0, kDeviceBytes);
+    StartRuntime();
+  }
+
+  // A fresh runtime with nothing cached, and the whole device mapped.
+  void StartRuntime() {
+    Aquila::Options options;
+    options.hypervisor.host_memory_bytes = 256ull << 20;
+    options.cache.capacity_pages = 256;  // 1 MB under a ~4 MB log
+    options.cache.max_pages = 1024;
+    options.cache.eviction_batch = 32;
+    runtime_ = std::make_unique<Aquila>(options);
+    auto map = runtime_->Map(backing_.get(), kDeviceBytes, kProtRead | kProtWrite);
+    AQUILA_CHECK(map.ok());
+    map_ = *map;
+  }
+
+  void ExpectEveryValue(KreonDb* db, const std::map<std::string, std::string>& model) {
+    for (const auto& [key, expect] : model) {
+      std::string value;
+      bool found;
+      ASSERT_TRUE(db->Get(key, &value, &found).ok()) << key;
+      ASSERT_TRUE(found) << key;
+      ASSERT_EQ(value, expect) << key;
+    }
+  }
+
+  std::unique_ptr<PmemDevice> device_;
+  std::unique_ptr<DeviceBacking> backing_;
+  std::unique_ptr<Aquila> runtime_;
+  MemoryMap* map_;
+};
+
+TEST_F(KreonEvictionTest, AppendingIntoAFreshLogPageReadsNothing) {
+  auto db = KreonDb::Open(map_, KreonDb::Options{});
+  ASSERT_TRUE(db.ok());
+  const uint64_t reads = device_->stats().reads.load();
+  const uint64_t fills = runtime_->fault_stats().overwrite_fills.load();
+  // The first record opens the log's first page; the second fills the rest
+  // of it and reaches into the next one.
+  ASSERT_TRUE((*db)->Put("first", std::string(100, 'a')).ok());
+  ASSERT_TRUE((*db)->Put("second", std::string(4000, 'b')).ok());
+  EXPECT_EQ(device_->stats().reads.load(), reads);
+  EXPECT_EQ(runtime_->fault_stats().overwrite_fills.load(), fills + 2);
+  std::string value;
+  bool found;
+  ASSERT_TRUE((*db)->Get("first", &value, &found).ok());
+  ASSERT_TRUE(found);
+  EXPECT_EQ(value, std::string(100, 'a'));
+  ASSERT_TRUE((*db)->Get("second", &value, &found).ok());
+  ASSERT_TRUE(found);
+  EXPECT_EQ(value, std::string(4000, 'b'));
+}
+
+TEST_F(KreonEvictionTest, EvictedPartialLogPagesKeepEveryAcknowledgedValue) {
+  std::map<std::string, std::string> model;
+  {
+    auto db = KreonDb::Open(map_, KreonDb::Options{});
+    ASSERT_TRUE(db.ok());
+    Rng rng(17);
+    for (int i = 0; i < 3000; i++) {
+      const std::string key = "evict" + std::to_string(rng.Uniform(1500));
+      std::string value(50 + rng.Uniform(2500), static_cast<char>('a' + i % 26));
+      value.replace(0, std::min(value.size(), key.size()), key);
+      ASSERT_TRUE((*db)->Put(key, value).ok()) << i;
+      model[key] = value;
+      if (i % 700 == 699) {
+        // Drop every cached page, the partly filled log head included: the
+        // next append reads that page back and must keep its records.
+        ASSERT_TRUE(map_->Advise(0, kDeviceBytes, Advice::kDontNeed).ok());
+      }
+    }
+    EXPECT_GT(runtime_->fault_stats().evicted_pages.load(), 0u);
+    EXPECT_GT(runtime_->fault_stats().overwrite_fills.load(), 0u);
+    ExpectEveryValue(db->get(), model);
+    ASSERT_TRUE((*db)->Persist().ok());
+  }
+  ASSERT_TRUE(runtime_->Unmap(map_).ok());
+  StartRuntime();
+  auto db = KreonDb::Open(map_, KreonDb::Options{});
+  ASSERT_TRUE(db.ok());
+  EXPECT_EQ((*db)->entries(), model.size());
+  ExpectEveryValue(db->get(), model);
+}
+
 }  // namespace
 }  // namespace aquila

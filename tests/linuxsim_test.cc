@@ -76,6 +76,29 @@ TEST_F(LinuxSimTest, KmmapHasNoReadAhead) {
   ASSERT_TRUE(engine->Unmap(*map).ok());
 }
 
+// The rule AquilaMap::Write follows (DESIGN.md §8): a Write run covering a
+// whole non-resident page faults it in from the run, with no device read
+// and no read-ahead window; a partial run still reads around itself.
+TEST_F(LinuxSimTest, WholePageWriteFaultReadsNothing) {
+  auto engine = MakeEngine(1024);
+  auto map = engine->Map(backing_.get(), 4 << 20, kProtRead | kProtWrite);
+  ASSERT_TRUE(map.ok());
+  const uint64_t reads = device_->stats().reads.load();
+  const std::vector<uint8_t> page(4096, 0x6B);
+  ASSERT_TRUE((*map)->Write(8 * 4096, std::span<const uint8_t>(page)).ok());
+  EXPECT_EQ(device_->stats().reads.load(), reads);
+  EXPECT_EQ(engine->stats().major_faults.load(), 1u);
+  EXPECT_EQ(engine->stats().readahead_pages.load(), 0u);
+  EXPECT_EQ((*map)->LoadValue<uint8_t>(8 * 4096 + 4095), 0x6B);
+
+  ASSERT_TRUE((*map)->Write(64 * 4096 + 1, std::span<const uint8_t>(page.data(), 4095)).ok());
+  EXPECT_GT(device_->stats().reads.load(), reads);
+  EXPECT_EQ((*map)->LoadValue<uint8_t>(64 * 4096), 64);  // the device's stamp
+  EXPECT_EQ((*map)->LoadValue<uint8_t>(64 * 4096 + 1), 0x6B);
+  ASSERT_TRUE(engine->Unmap(*map).ok());
+  EXPECT_EQ(device_->dax_base()[8 * 4096], 0x6B);
+}
+
 TEST_F(LinuxSimTest, DirtyMarkingTakesFaultThroughTreeLock) {
   auto engine = MakeEngine(1024);
   auto map = engine->Map(backing_.get(), 1 << 20, kProtRead | kProtWrite);

@@ -171,5 +171,89 @@ TEST_F(TrapModeTest, SoftAndTrapAccessorsInterop) {
   ASSERT_TRUE(runtime_->Unmap(*map).ok());
 }
 
+// A whole-page soft Write fills its fresh frame from the written bytes
+// (DESIGN.md §8). In trap mode a real load needs no fault once the real
+// mapping is installed, so the bytes must land before it: with frames
+// recycling from a second mapping, raw loads racing the writer must see each
+// word's device stamp (tag 2) or a written value (tags 3..), never the other
+// mapping's bytes (tag 1) left in the frame.
+TEST_F(TrapModeTest, RawLoadsNeverSeeARecycledFrameBeforeItsOverwriteFill) {
+  constexpr uint64_t kPagesA = 2048;  // twice the cache
+  constexpr uint64_t kPagesB = 1024;
+  constexpr uint64_t kOffsetB = kPagesA * kPageSize;
+  auto word = [](uint64_t tag, uint64_t page, uint64_t w) {
+    return (tag << 48) | (page << 12) | w;
+  };
+  // Fills `dst`, one page, with page `page`'s words under `tag`.
+  auto stamp = [&](uint8_t* dst, uint64_t tag, uint64_t page) {
+    for (uint64_t w = 0; w < kPageSize / 8; w++) {
+      const uint64_t value = word(tag, page, w);
+      std::memcpy(dst + w * 8, &value, 8);
+    }
+  };
+  for (uint64_t p = 0; p < kPagesA; p++) {
+    stamp(device_->dax_base() + p * kPageSize, 1, p);
+  }
+  for (uint64_t p = 0; p < kPagesB; p++) {
+    stamp(device_->dax_base() + kOffsetB + p * kPageSize, 2, p);
+  }
+  DeviceBacking backing_a(device_.get(), 0, kPagesA * kPageSize);
+  DeviceBacking backing_b(device_.get(), kOffsetB, kPagesB * kPageSize);
+  StatusOr<MemoryMap*> map_a = runtime_->Map(&backing_a, kPagesA * kPageSize, kProtRead);
+  ASSERT_TRUE(map_a.ok());
+  StatusOr<MemoryMap*> map_b =
+      runtime_->MapTransparent(&backing_b, kPagesB * kPageSize, kProtRead | kProtWrite);
+  ASSERT_TRUE(map_b.ok());
+  const uint8_t* raw = static_cast<AquilaMap*>(*map_b)->data();
+
+  std::atomic<bool> writing{true};
+  std::atomic<uint64_t> bad_words{0};
+  std::thread churn([&] {
+    runtime_->EnterThread();
+    Rng rng(21);
+    while (writing.load(std::memory_order_relaxed)) {
+      (void)(*map_a)->TouchRead(rng.Uniform(kPagesA) * kPageSize);
+    }
+  });
+  std::thread reader([&] {
+    runtime_->EnterThread();
+    Rng rng(22);
+    while (writing.load(std::memory_order_relaxed)) {
+      const uint64_t p = rng.Uniform(kPagesB);
+      const auto* words = reinterpret_cast<const uint64_t*>(raw + p * kPageSize);
+      for (uint64_t w = 0; w < kPageSize / 8; w++) {
+        const uint64_t value = __atomic_load_n(&words[w], __ATOMIC_RELAXED);
+        const uint64_t tag = value >> 48;
+        if (tag < 2 || value != word(tag, p, w)) {
+          bad_words.fetch_add(1);
+        }
+      }
+    }
+  });
+  runtime_->EnterThread();
+  constexpr uint64_t kRounds = 4;
+  auto write_rounds = [&] {
+    std::vector<uint8_t> page(kPageSize);
+    for (uint64_t round = 0; round < kRounds; round++) {
+      for (uint64_t p = 0; p < kPagesB; p++) {
+        stamp(page.data(), 3 + round, p);
+        if (!(*map_b)->Write(p * kPageSize, std::span<const uint8_t>(page)).ok()) {
+          return false;
+        }
+      }
+    }
+    return true;
+  };
+  const bool written = write_rounds();
+  writing.store(false);
+  churn.join();
+  reader.join();
+  ASSERT_TRUE(written);
+  EXPECT_EQ(bad_words.load(), 0u);
+  EXPECT_GT(runtime_->fault_stats().overwrite_fills.load(), 0u);
+  ASSERT_TRUE(runtime_->Unmap(*map_a).ok());
+  ASSERT_TRUE(runtime_->Unmap(*map_b).ok());
+}
+
 }  // namespace
 }  // namespace aquila
