@@ -732,7 +732,6 @@ Status AquilaMap::ReadAhead(Vcpu& vcpu, uint64_t file_page) {
     return Status::Ok();
   }
   telemetry::ChildSpan readahead_span(vcpu.clock(), telemetry::SpanPhase::kReadahead, file_page);
-  PageCache& cache = runtime_->cache();
   const uint32_t window = runtime_->options().readahead_pages;
 
   uint64_t first = file_page + 1;
@@ -759,6 +758,17 @@ Status AquilaMap::ReadAhead(Vcpu& vcpu, uint64_t file_page) {
       }
     }
   }
+  uint64_t advance_to;
+  Status status = FillPages(vcpu, first, last, /*demand=*/false, &advance_to);
+  if (track_stream && status.ok() && stream_mark.load(std::memory_order_relaxed) < advance_to) {
+    stream_mark.store(advance_to, std::memory_order_relaxed);
+  }
+  return status;
+}
+
+Status AquilaMap::FillPages(Vcpu& vcpu, uint64_t first, uint64_t last, bool demand,
+                            uint64_t* stopped_at) {
+  PageCache& cache = runtime_->cache();
   // Each fill is prepared under its page's entry lock and the stretch is
   // submitted under one engine lock; the entry locks drop after submission.
   // The frames stay kFilling — invisible to evictors and to Lookup — until
@@ -783,18 +793,20 @@ Status AquilaMap::ReadAhead(Vcpu& vcpu, uint64_t file_page) {
     n = 0;
     return s;
   };
-  uint64_t advance_to = last + 1;
-  for (uint64_t next_file_page = first; next_file_page <= last && status.ok(); next_file_page++) {
-    if (next_file_page >= vma_.page_count ||
-        (next_file_page + 1) * kPageSize > backing_->size_bytes()) {
+  uint64_t stop = last + 1;
+  for (uint64_t file_page = first; file_page <= last && status.ok(); file_page++) {
+    if (file_page >= vma_.page_count || (file_page + 1) * kPageSize > backing_->size_bytes()) {
       break;
     }
-    uint64_t page = vma_.start_page + next_file_page;
+    uint64_t page = vma_.start_page + file_page;
+    if (Pte::Present(runtime_->page_table().Lookup(page << kPageShift))) {
+      continue;  // mapped: a hint taken without the lock, enough to skip a hit
+    }
     Vma* vma;
     if (!runtime_->vma_tree().TryLockEntry(page, &vma)) {
       continue;
     }
-    uint64_t key = MakeKey(vma_.mapping_id, next_file_page);
+    uint64_t key = MakeKey(vma_.mapping_id, file_page);
     // Under the entry lock both checks are authoritative: a page with a fill
     // in flight (another core's stream, whose mark this core does not see)
     // or already in the hash is never read twice.
@@ -807,13 +819,13 @@ Status AquilaMap::ReadAhead(Vcpu& vcpu, uint64_t file_page) {
     FrameId frame = cache.AllocFrame(vcpu, vcpu.core(), &stamp);
     if (frame == kInvalidFrame) {
       UnlockPage(page);
-      advance_to = next_file_page;  // not covered; eligible for the next window
-      break;                        // never evict for read-ahead
+      stop = file_page;  // not covered: the fault path fetches it
+      break;             // never evict for a queued fill
     }
-    // Read-ahead never elides (allow_elide=false): its fills can fail on
-    // paths that free the frame asynchronously, where the elide-failure
-    // backstop could not run. Any deferral the stamp or target page carries
-    // is executed instead.
+    // Queued fills never elide (allow_elide=false): they can fail on paths
+    // that free the frame asynchronously, where the elide-failure backstop
+    // could not run. Any deferral the stamp or target page carries is
+    // executed instead.
     (void)runtime_->ResolveReuseStamp(vcpu, stamp, frame, page, vma_.mapping_id,
                                       /*allow_elide=*/false);
     Frame& f = cache.frame(frame);
@@ -821,7 +833,7 @@ Status AquilaMap::ReadAhead(Vcpu& vcpu, uint64_t file_page) {
     // No translation yet: the actual access takes a minor fault. vaddr == 0
     // is also what marks the frame evictable without the entry lock.
     f.vaddr.store(0, std::memory_order_relaxed);
-    fills[n] = FillRequest{frame, key, next_file_page * kPageSize, /*demand=*/false};
+    fills[n] = FillRequest{frame, key, file_page * kPageSize, demand};
     locked[n] = page;
     if (++n == kStretch) {
       status = submit();
@@ -830,8 +842,8 @@ Status AquilaMap::ReadAhead(Vcpu& vcpu, uint64_t file_page) {
   if (n > 0) {
     status = submit();
   }
-  if (track_stream && status.ok() && stream_mark.load(std::memory_order_relaxed) < advance_to) {
-    stream_mark.store(advance_to, std::memory_order_relaxed);
+  if (stopped_at != nullptr) {
+    *stopped_at = stop;
   }
   return status;
 }
@@ -1093,6 +1105,14 @@ Status AquilaMap::Read(uint64_t offset, std::span<uint8_t> dst) {
   if (offset + dst.size() > length_) {
     return Status::InvalidArgument("read beyond mapping");
   }
+  if (dst.size() > kPageSize - offset % kPageSize) {
+    // One device wait for the whole range (DESIGN.md §8): every missing page
+    // after the first goes to the queue before the walk faults the first, so
+    // their reads overlap its read; the walk then finds each one published
+    // or still in flight (AwaitFill).
+    (void)FillPages(ThisVcpu(), (offset >> kPageShift) + 1,
+                    (offset + dst.size() - 1) >> kPageShift, /*demand=*/true);
+  }
   uint64_t done = 0;
   while (done < dst.size()) {
     uint64_t in_page = (offset + done) % kPageSize;
@@ -1324,14 +1344,11 @@ Status AquilaMap::Sync(uint64_t offset, uint64_t length) {
   std::vector<PageShootdown> vpns;
   std::vector<FrameId> claimed;
   std::vector<FrameId> collected;
-  // Claim dirty frames of this mapping from the per-core trees.
-  auto collect_and_claim = [&] {
-    collected.clear();
-    {
-      ScopedMeasure measure(vcpu.clock(), CostCategory::kDirtyTracking);
-      cache.CollectDirtyRange(lo, hi, &collected);
-    }
-    for (FrameId frame : collected) {
+  std::vector<FrameId> deferred;
+  std::vector<FrameId> retry;
+  // Claims each frame this pass must write.
+  auto claim_frames = [&](const std::vector<FrameId>& frames) {
+    for (FrameId frame : frames) {
       Frame& f = cache.frame(frame);
       // Claim the frame BEFORE reading its identity: the unlinked dirty item
       // proves nothing about the frame itself, which a concurrent evictor may
@@ -1339,18 +1356,39 @@ Status AquilaMap::Sync(uint64_t offset, uint64_t length) {
       // recycled it for a different page. Classifying (or re-marking) on the
       // stale key would write the new page's data to the old page's device
       // offset. kFilling is transient (a fill or a minor-fault pin), so wait
-      // it out; kEvicting/kFree/kOffline mean another owner took over the
-      // writeback responsibility, so skip.
+      // it out. So is a kEvicting claim on a frame still dirty under this
+      // mapping: an evictor either hands it back resident and still dirty
+      // (referenced, entry lock busy, or dirtied since it was chosen), where
+      // its item is no longer in any tree and only this msync can write it,
+      // or clears the dirty bit as it takes the writeback over. A clean
+      // kEvicting frame (a pending batch's), kFree and kOffline mean another
+      // owner has the writeback responsibility, so skip.
+      //
+      // That claim may also be an msync's, this one's included (a store
+      // through a still-writable translation re-dirties a claimed frame
+      // before the shootdown). An msync holds its claims across its writes,
+      // so a pass that holds claims defers the frame to a later pass instead
+      // of waiting: only a pass holding nothing waits, and no two msyncs can
+      // wait on each other.
       bool owned = false;
       SpinBackoff backoff;
       while (true) {
         FrameState expected = FrameState::kResident;
+        AQUILA_RACE_POINT("msync.claim");
         if (f.state.compare_exchange_strong(expected, FrameState::kEvicting,
                                             std::memory_order_acq_rel)) {
           owned = true;
           break;
         }
-        if (expected != FrameState::kFilling) {
+        const uint64_t key = f.key.load(std::memory_order_relaxed);
+        const bool claimed_dirty = expected == FrameState::kEvicting &&
+                                   f.dirty.load(std::memory_order_relaxed) != 0 &&
+                                   key == MakeKey(vma_.mapping_id, FilePageOfKey(key));
+        if (claimed_dirty && !claimed.empty()) {
+          deferred.push_back(frame);
+          break;
+        }
+        if (expected != FrameState::kFilling && !claimed_dirty) {
           break;
         }
         backoff.Pause();
@@ -1403,10 +1441,15 @@ Status AquilaMap::Sync(uint64_t offset, uint64_t length) {
       claimed.push_back(frame);
     }
   };
-  {
-    telemetry::ChildSpan collect_span(vcpu.clock(), telemetry::SpanPhase::kDirtyTrack);
-    collect_and_claim();
-  }
+  // Claim dirty frames of this mapping from the per-core trees.
+  auto collect_and_claim = [&] {
+    collected.clear();
+    {
+      ScopedMeasure measure(vcpu.clock(), CostCategory::kDirtyTracking);
+      cache.CollectDirtyRange(lo, hi, &collected);
+    }
+    claim_frames(collected);
+  };
   // The drain above cannot close the pipeline for good: a concurrent evictor
   // may have submitted async writebacks of in-range pages since, and those
   // frames' dirty bits were cleared at claim, so the collection missed them.
@@ -1417,45 +1460,75 @@ Status AquilaMap::Sync(uint64_t offset, uint64_t length) {
     telemetry::ChildSpan wait_span(vcpu.clock(), telemetry::SpanPhase::kQueueWait);
     return engine_->AwaitWritebacks(vcpu, first_page, last_page);
   };
-  while (await_in_range()) {
-    telemetry::ChildSpan collect_span(vcpu.clock(), telemetry::SpanPhase::kDirtyTrack);
-    collect_and_claim();
-  }
 
-  // Shoot down stale writable TLB entries before reading page contents.
-  runtime_->ShootdownPages(vcpu, vpns);
-
-  Status status;
-  {
-    telemetry::ChildSpan wb_span(vcpu.clock(), telemetry::SpanPhase::kWriteback,
-                                 planner.size());
-    status = planner.SubmitSync(vcpu);
-    if (status.ok()) {
-      status = backing_->Flush(vcpu);
-    }
-  }
-  if (!planner.empty()) {
-    NoteWritebackResult(status);
-  }
-  if (!status.ok()) {
-    // msync failed: nothing was durably acknowledged. Re-mark every claimed
-    // frame dirty (they are still mapped; only the PTEs were write-protected)
-    // so the data survives for a retry, then surface the EIO to the caller.
+  // One pass per round of deferred frames: the first collects from the trees,
+  // each later one claims what the previous pass deferred, after that pass
+  // released its own claims.
+  Status result;
+  bool first_pass = true;
+  do {
+    planner = WritebackPlanner();
+    vpns.clear();
+    claimed.clear();
     {
-      ScopedMeasure measure(vcpu.clock(), CostCategory::kDirtyTracking);
-      for (const WritebackItem& item : planner.items()) {
-        cache.MarkDirty(vcpu.core(), item.frame, item.sort_key);
+      telemetry::ChildSpan collect_span(vcpu.clock(), telemetry::SpanPhase::kDirtyTrack);
+      if (first_pass) {
+        collect_and_claim();
+      } else {
+        retry.swap(deferred);
+        deferred.clear();
+        claim_frames(retry);
       }
     }
+    first_pass = false;
+    while (await_in_range()) {
+      telemetry::ChildSpan collect_span(vcpu.clock(), telemetry::SpanPhase::kDirtyTrack);
+      collect_and_claim();
+    }
+
+    // Shoot down stale writable TLB entries before reading page contents.
+    runtime_->ShootdownPages(vcpu, vpns);
+
+    Status status;
+    {
+      telemetry::ChildSpan wb_span(vcpu.clock(), telemetry::SpanPhase::kWriteback,
+                                   planner.size());
+      status = planner.SubmitSync(vcpu);
+      if (status.ok()) {
+        status = backing_->Flush(vcpu);
+      }
+    }
+    if (!planner.empty()) {
+      NoteWritebackResult(status);
+    }
+    if (!status.ok()) {
+      // msync failed: nothing was durably acknowledged. Re-mark every claimed
+      // frame dirty (they are still mapped; only the PTEs were write-protected)
+      // so the data survives for a retry, then surface the EIO to the caller.
+      {
+        ScopedMeasure measure(vcpu.clock(), CostCategory::kDirtyTracking);
+        for (const WritebackItem& item : planner.items()) {
+          cache.MarkDirty(vcpu.core(), item.frame, item.sort_key);
+        }
+      }
+      // The deferred frames' items are out of the trees too: the later
+      // passes still run, so each of them is written or re-marked.
+      for (FrameId frame : claimed) {
+        cache.frame(frame).state.store(FrameState::kResident, std::memory_order_release);
+      }
+      if (result.ok()) {
+        result = status;
+      }
+      continue;
+    }
+    runtime_->fault_stats().writeback_pages.fetch_add(planner.size(),
+                                                      std::memory_order_relaxed);
     for (FrameId frame : claimed) {
       cache.frame(frame).state.store(FrameState::kResident, std::memory_order_release);
     }
-    return status;
-  }
-  runtime_->fault_stats().writeback_pages.fetch_add(planner.size(),
-                                                    std::memory_order_relaxed);
-  for (FrameId frame : claimed) {
-    cache.frame(frame).state.store(FrameState::kResident, std::memory_order_release);
+  } while (!deferred.empty());
+  if (!result.ok()) {
+    return result;
   }
   AQUILA_TELEMETRY_ONLY(
       telemetry::RecordSpanSince(GetFaultMetrics().msync, vcpu.clock(), msync_start));
@@ -1479,15 +1552,12 @@ Status AquilaMap::Advise(uint64_t offset, uint64_t length, Advice advice) {
       }
       return Status::Ok();
     case Advice::kWillNeed: {
-      // Prefetch like read-ahead, page by page, never evicting.
-      uint64_t first = offset >> kPageShift;
-      uint64_t last = std::min((offset + length - 1) >> kPageShift, vma_.page_count - 1);
-      if (first > 0) {
-        (void)ReadAhead(vcpu, first - 1);  // best effort, like the fault path
-      }
-      for (uint64_t file_page = first; file_page < last;
-           file_page += runtime_->options().readahead_pages) {
-        (void)ReadAhead(vcpu, file_page);
+      // Queue the range's missing pages, never evicting. Best effort, and
+      // shed by a sick device like read-ahead.
+      if (std::as_const(*backing_->device()).health().allows_readahead()) {
+        uint64_t first = offset >> kPageShift;
+        uint64_t last = std::min((offset + length - 1) >> kPageShift, vma_.page_count - 1);
+        (void)FillPages(vcpu, first, last, /*demand=*/false);
       }
       return Status::Ok();
     }

@@ -181,6 +181,18 @@ class AquilaMap : public MemoryMap {
   // its core's mark (ReadaheadMark), so only the part of the window not yet
   // in flight goes out.
   Status ReadAhead(Vcpu& vcpu, uint64_t file_page);
+  // The one fill loop behind ReadAhead, Advise(kWillNeed) and a multi-page
+  // Read: submits a queued fill for each page of [first, last] that is not
+  // mapped, in the hash or in flight, taking each page's entry lock with
+  // TryLock and skipping it when busy. Never evicts: it stops at the first
+  // page the allocator cannot supply and reports it in `*stopped_at`
+  // (last + 1 when it did not stop); the fault path fetches what it left.
+  // Pages past the mapping or the backing's last whole page are left to the
+  // fault path too. `demand` marks pages a Read is about to consume: each
+  // counts as a major fault when published, not as read-ahead. Returns the
+  // first submission the queue machinery rejected.
+  Status FillPages(Vcpu& vcpu, uint64_t first, uint64_t last, bool demand,
+                   uint64_t* stopped_at = nullptr);
   // The readahead marker for a kSequential stream that consumed `file_page`
   // without a device read: re-arms the window (ReadAhead) once the stream's
   // lead over the pages in flight has fallen by a quarter of the window.

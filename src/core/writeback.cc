@@ -558,9 +558,9 @@ void AsyncWritebackEngine::CompleteLocked(Vcpu& vcpu, const DeviceQueue::Complet
         cache.frame(slot.frame).state.store(FrameState::kResident,
                                             std::memory_order_release);
         if (slot.demand) {
-          // The device read a parked faulter was waiting on: account it like
-          // the blocking major-fault path would have (the owner's resume
-          // additionally counts the minor fault that installs the PTE).
+          // The device read an access is waiting on: account it like the
+          // blocking major-fault path would have (the access additionally
+          // counts the minor fault that installs the PTE).
           stats.major_faults.fetch_add(1, std::memory_order_relaxed);
         } else {
           stats.readahead_pages.fetch_add(1, std::memory_order_relaxed);

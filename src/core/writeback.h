@@ -114,10 +114,11 @@ class WritebackPlanner {
 };
 
 // One asynchronous fill: `frame` (state kFilling, key set, vaddr 0, not yet in
-// the hash) is read from `file_offset`. `demand` marks a cooperative-scheduler
-// demand fill (park point c): its publication counts a major fault rather
-// than a readahead page, and its completion status is delivered to the
-// parked owner through the wake path.
+// the hash) is read from `file_offset`. `demand` marks a page an access is
+// waiting for — a cooperative-scheduler demand fill (park point c) or a page
+// of a multi-page Read — rather than read-ahead: its publication counts a
+// major fault rather than a readahead page, and a parked owner receives its
+// completion status through the wake path.
 struct FillRequest {
   FrameId frame = kInvalidFrame;
   uint64_t key = 0;
@@ -234,7 +235,7 @@ class AsyncWritebackEngine {
   struct Slot {
     enum class Kind : uint8_t { kFree, kWriteback, kFill };
     Kind kind = Kind::kFree;
-    bool demand = false;     // kFill submitted for a parked faulter, not readahead
+    bool demand = false;     // kFill an access waits for, not readahead
     bool published = false;  // kFill reaped into the hash; read by AwaitFill
     FrameId frame = kInvalidFrame;
     uint64_t key = 0;

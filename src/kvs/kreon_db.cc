@@ -35,8 +35,9 @@ struct Slot {
   uint8_t klen;
   char key[KreonDb::kMaxKeyBytes];
   uint8_t tomb;
-  uint8_t pad[6];
-  uint64_t value;  // leaf: log offset; internal: child page
+  uint8_t pad[2];
+  uint32_t length;  // leaf: the record's bytes in the log; internal: 0
+  uint64_t value;   // leaf: log offset; internal: child page
 };
 static_assert(sizeof(Slot) == 64);
 
@@ -52,14 +53,18 @@ constexpr uint32_t kMaxSlots = 63;
 
 Slice SlotKey(const Slot& slot) { return Slice(slot.key, slot.klen); }
 
-void FillSlot(Slot* slot, const Slice& key, uint64_t value, bool tomb) {
+void FillSlot(Slot* slot, const Slice& key, uint64_t value, uint32_t length) {
   AQUILA_CHECK(key.size() <= KreonDb::kMaxKeyBytes);
   std::memset(slot, 0, sizeof(Slot));
   slot->klen = static_cast<uint8_t>(key.size());
   std::memcpy(slot->key, key.data(), key.size());
-  slot->tomb = tomb ? 1 : 0;
+  slot->length = length;
   slot->value = value;
 }
+
+// A log record is a 9-byte header (klen:4, vlen:4, tombstone:1), the key and
+// the value.
+constexpr uint64_t kRecordHeader = 9;
 
 // Index of the first slot with key >= target; node->count if none.
 uint32_t LowerBound(const Node& node, const Slice& key) {
@@ -170,7 +175,7 @@ StatusOr<uint64_t> KreonDb::AllocNode(bool leaf) {
 }
 
 StatusOr<uint64_t> KreonDb::AppendLog(const Slice& key, const Slice& value, bool tombstone) {
-  uint64_t record_bytes = 9 + key.size() + value.size();
+  uint64_t record_bytes = kRecordHeader + key.size() + value.size();
   if (log_base_ + log_head_ + record_bytes > map_->length()) {
     return Status::OutOfSpace("Kreon log full");
   }
@@ -221,7 +226,7 @@ Status KreonDb::FindLeaf(const Slice& key, uint64_t* leaf_page, std::vector<uint
 }
 
 Status KreonDb::InsertIntoLeaf(uint64_t leaf_page, const std::vector<uint64_t>& path,
-                               const Slice& key, uint64_t log_offset) {
+                               const Slice& key, uint64_t log_offset, uint32_t length) {
   Node leaf;
   AQUILA_RETURN_IF_ERROR(map_->Read(
       leaf_page * kNodeBytes, std::span(reinterpret_cast<uint8_t*>(&leaf), sizeof(leaf))));
@@ -265,8 +270,8 @@ Status KreonDb::InsertIntoLeaf(uint64_t leaf_page, const std::vector<uint64_t>& 
         root.count = 2;
         Node old_first;
         // Sentinel: the old subtree keeps an empty separator key.
-        FillSlot(&root.slots[0], Slice("", 0), root_page_, false);
-        FillSlot(&root.slots[1], Slice(separator), child, false);
+        FillSlot(&root.slots[0], Slice("", 0), root_page_, 0);
+        FillSlot(&root.slots[1], Slice(separator), child, 0);
         (void)old_first;
         AQUILA_RETURN_IF_ERROR(
             map_->Write(*new_root * kNodeBytes,
@@ -284,7 +289,7 @@ Status KreonDb::InsertIntoLeaf(uint64_t leaf_page, const std::vector<uint64_t>& 
         uint32_t at = LowerBound(parent, Slice(separator));
         std::memmove(parent.slots + at + 1, parent.slots + at,
                      (parent.count - at) * sizeof(Slot));
-        FillSlot(&parent.slots[at], Slice(separator), child, false);
+        FillSlot(&parent.slots[at], Slice(separator), child, 0);
         parent.count++;
         AQUILA_RETURN_IF_ERROR(
             map_->Write(parent_page * kNodeBytes,
@@ -306,7 +311,7 @@ Status KreonDb::InsertIntoLeaf(uint64_t leaf_page, const std::vector<uint64_t>& 
       Node* dest = Slice(separator).compare(SlotKey(upper.slots[0])) < 0 ? &parent : &upper;
       uint32_t at = LowerBound(*dest, Slice(separator));
       std::memmove(dest->slots + at + 1, dest->slots + at, (dest->count - at) * sizeof(Slot));
-      FillSlot(&dest->slots[at], Slice(separator), child, false);
+      FillSlot(&dest->slots[at], Slice(separator), child, 0);
       dest->count++;
       AQUILA_RETURN_IF_ERROR(
           map_->Write(parent_page * kNodeBytes,
@@ -321,15 +326,16 @@ Status KreonDb::InsertIntoLeaf(uint64_t leaf_page, const std::vector<uint64_t>& 
     std::vector<uint64_t> new_path;
     uint64_t new_leaf;
     AQUILA_RETURN_IF_ERROR(FindLeaf(key, &new_leaf, &new_path));
-    return InsertIntoLeaf(new_leaf, new_path, key, log_offset);
+    return InsertIntoLeaf(new_leaf, new_path, key, log_offset, length);
   }
 
   if (replace) {
     leaf.slots[pos].value = log_offset;
+    leaf.slots[pos].length = length;
     leaf.slots[pos].tomb = 0;
   } else {
     std::memmove(leaf.slots + pos + 1, leaf.slots + pos, (leaf.count - pos) * sizeof(Slot));
-    FillSlot(&leaf.slots[pos], key, log_offset, false);
+    FillSlot(&leaf.slots[pos], key, log_offset, length);
     leaf.count++;
     entries_++;
   }
@@ -341,6 +347,10 @@ Status KreonDb::Put(const Slice& key, const Slice& value) {
   if (key.size() > kMaxKeyBytes || key.empty()) {
     return Status::InvalidArgument("Kreon keys must be 1..48 bytes");
   }
+  const uint64_t length = kRecordHeader + key.size() + value.size();
+  if (length > UINT32_MAX) {
+    return Status::InvalidArgument("Kreon records must be under 4 GB");
+  }
   ExclusiveLockGuard guard(tree_lock_);
   StatusOr<uint64_t> log_offset = AppendLog(key, value, /*tombstone=*/false);
   if (!log_offset.ok()) {
@@ -349,7 +359,8 @@ Status KreonDb::Put(const Slice& key, const Slice& value) {
   std::vector<uint64_t> path;
   uint64_t leaf;
   AQUILA_RETURN_IF_ERROR(FindLeaf(key, &leaf, &path));
-  AQUILA_RETURN_IF_ERROR(InsertIntoLeaf(leaf, path, key, *log_offset));
+  AQUILA_RETURN_IF_ERROR(
+      InsertIntoLeaf(leaf, path, key, *log_offset, static_cast<uint32_t>(length)));
   if (options_.sync_interval != 0 && ++puts_since_sync_ >= options_.sync_interval) {
     puts_since_sync_ = 0;
     AQUILA_RETURN_IF_ERROR(WriteSuper());
@@ -386,17 +397,28 @@ Status KreonDb::Get(const Slice& key, std::string* value, bool* found) {
   if (pos >= leaf.count || SlotKey(leaf.slots[pos]) != key || leaf.slots[pos].tomb) {
     return Status::Ok();
   }
-  // Fetch the record from the value log.
-  uint64_t off = log_base_ + leaf.slots[pos].value;
-  uint8_t header[9];
-  AQUILA_RETURN_IF_ERROR(map_->Read(off, std::span(header, sizeof(header))));
-  uint32_t klen, vlen;
-  std::memcpy(&klen, header, 4);
-  std::memcpy(&vlen, header + 4, 4);
-  value->resize(vlen);
-  AQUILA_RETURN_IF_ERROR(map_->Read(
-      off + 9 + klen, std::span(reinterpret_cast<uint8_t*>(value->data()), vlen)));
+  AQUILA_RETURN_IF_ERROR(ReadRecord(leaf.slots[pos].value, leaf.slots[pos].length, value));
   *found = true;
+  return Status::Ok();
+}
+
+Status KreonDb::ReadRecord(uint64_t log_offset, uint32_t length, std::string* value) {
+  // One Read of the whole record, header and all: a record across two log
+  // pages then waits for both in one device batch (DESIGN.md §8). The value
+  // is read in place and the header and key shifted out.
+  if (length < kRecordHeader) {
+    return Status::IoError("corrupt Kreon record length");
+  }
+  value->resize(length);
+  uint8_t* record = reinterpret_cast<uint8_t*>(value->data());
+  AQUILA_RETURN_IF_ERROR(map_->Read(log_base_ + log_offset, std::span(record, length)));
+  uint32_t klen, vlen;
+  std::memcpy(&klen, record, 4);
+  std::memcpy(&vlen, record + 4, 4);
+  if (kRecordHeader + klen + vlen != length) {
+    return Status::IoError("Kreon record length does not match its header");
+  }
+  value->erase(0, kRecordHeader + klen);
   return Status::Ok();
 }
 
@@ -415,15 +437,7 @@ Status KreonDb::Scan(const Slice& start, int count,
       if (leaf.slots[i].tomb) {
         continue;
       }
-      uint64_t off = log_base_ + leaf.slots[i].value;
-      uint8_t header[9];
-      AQUILA_RETURN_IF_ERROR(map_->Read(off, std::span(header, sizeof(header))));
-      uint32_t klen, vlen;
-      std::memcpy(&klen, header, 4);
-      std::memcpy(&vlen, header + 4, 4);
-      value.resize(vlen);
-      AQUILA_RETURN_IF_ERROR(map_->Read(
-          off + 9 + klen, std::span(reinterpret_cast<uint8_t*>(value.data()), vlen)));
+      AQUILA_RETURN_IF_ERROR(ReadRecord(leaf.slots[i].value, leaf.slots[i].length, &value));
       visit(SlotKey(leaf.slots[i]), Slice(value));
       emitted++;
     }

@@ -14,7 +14,8 @@
 // Layout inside the mapping:
 //   page 0        : superblock (magic, root, allocation cursors)
 //   pages 1..N    : B+tree nodes (4 KB each, bump-allocated)
-//   log area      : length-prefixed key/value records, appended
+//   log area      : length-prefixed key/value records, appended; a leaf
+//                   slot holds its record's log offset and byte length
 // Keys are limited to 48 bytes (YCSB keys are ~30 B).
 #ifndef AQUILA_SRC_KVS_KREON_DB_H_
 #define AQUILA_SRC_KVS_KREON_DB_H_
@@ -72,7 +73,10 @@ class KreonDb : public KvStore {
   Status FindLeaf(const Slice& key, uint64_t* leaf_page,
                   std::vector<uint64_t>* path = nullptr);
   Status InsertIntoLeaf(uint64_t leaf_page, const std::vector<uint64_t>& path,
-                        const Slice& key, uint64_t log_offset);
+                        const Slice& key, uint64_t log_offset, uint32_t length);
+  // Reads the `length`-byte record at `log_offset` with one Read and leaves
+  // its value in `*value`; kIoError when its header disagrees with `length`.
+  Status ReadRecord(uint64_t log_offset, uint32_t length, std::string* value);
 
   MemoryMap* map_;
   Options options_;

@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <cstring>
+#include <deque>
 #include <set>
 #include <thread>
 #include <vector>
@@ -54,13 +55,21 @@ class AquilaTest : public ::testing::Test {
 
   static uint8_t PatternAt(uint64_t offset) { return static_cast<uint8_t>(offset * 131 + 17); }
 
+  // A backing over device_ that outlives the runtime: a failed ASSERT returns
+  // with its mapping still installed, and ~Aquila writes back through it.
+  DeviceBacking& NewBacking(uint64_t offset, uint64_t size) {
+    return backings_.emplace_back(device_.get(), offset, size);
+  }
+
+  // Declaration order matters: the runtime is destroyed first.
   std::unique_ptr<PmemDevice> device_;
+  std::deque<DeviceBacking> backings_;
   std::unique_ptr<Aquila> runtime_;
 };
 
 TEST_F(AquilaTest, ReadSeesDeviceContents) {
   FillDevice(0, 1 << 20);
-  DeviceBacking backing(device_.get(), 0, 1 << 20);
+  DeviceBacking& backing = NewBacking(0, 1 << 20);
   StatusOr<MemoryMap*> map = runtime_->Map(&backing, 1 << 20, kProtRead);
   ASSERT_TRUE(map.ok());
   std::vector<uint8_t> buf(10000);
@@ -73,7 +82,7 @@ TEST_F(AquilaTest, ReadSeesDeviceContents) {
 }
 
 TEST_F(AquilaTest, HitsTakeNoFaultAndNoTransition) {
-  DeviceBacking backing(device_.get(), 0, 1 << 20);
+  DeviceBacking& backing = NewBacking(0, 1 << 20);
   StatusOr<MemoryMap*> map = runtime_->Map(&backing, 1 << 20, kProtRead);
   ASSERT_TRUE(map.ok());
   EXPECT_TRUE((*map)->TouchRead(0).faulted);  // miss
@@ -89,7 +98,7 @@ TEST_F(AquilaTest, HitsTakeNoFaultAndNoTransition) {
 }
 
 TEST_F(AquilaTest, AquilaFaultIsRing0NoVmexit) {
-  DeviceBacking backing(device_.get(), 0, 1 << 20);
+  DeviceBacking& backing = NewBacking(0, 1 << 20);
   StatusOr<MemoryMap*> map = runtime_->Map(&backing, 1 << 20, kProtRead);
   ASSERT_TRUE(map.ok());
   (*map)->TouchRead(0);  // warm the EPT chunk
@@ -105,7 +114,7 @@ TEST_F(AquilaTest, AquilaFaultIsRing0NoVmexit) {
 }
 
 TEST_F(AquilaTest, WriteFaultTracksDirtyAndMsyncPersists) {
-  DeviceBacking backing(device_.get(), 0, 1 << 20);
+  DeviceBacking& backing = NewBacking(0, 1 << 20);
   StatusOr<MemoryMap*> map = runtime_->Map(&backing, 1 << 20, kProtRead | kProtWrite);
   ASSERT_TRUE(map.ok());
   std::vector<uint8_t> out(kPageSize * 3, 0xAA);
@@ -121,7 +130,7 @@ TEST_F(AquilaTest, WriteFaultTracksDirtyAndMsyncPersists) {
 }
 
 TEST_F(AquilaTest, ReadThenWriteTakesUpgradeFault) {
-  DeviceBacking backing(device_.get(), 0, 1 << 20);
+  DeviceBacking& backing = NewBacking(0, 1 << 20);
   StatusOr<MemoryMap*> map = runtime_->Map(&backing, 1 << 20, kProtRead | kProtWrite);
   ASSERT_TRUE(map.ok());
   EXPECT_TRUE((*map)->TouchRead(0).faulted);  // read fault: mapped read-only
@@ -137,7 +146,7 @@ TEST_F(AquilaTest, ReadThenWriteTakesUpgradeFault) {
 }
 
 TEST_F(AquilaTest, MsyncAfterRewriteCatchesNewWrites) {
-  DeviceBacking backing(device_.get(), 0, 1 << 20);
+  DeviceBacking& backing = NewBacking(0, 1 << 20);
   StatusOr<MemoryMap*> map = runtime_->Map(&backing, 1 << 20, kProtRead | kProtWrite);
   ASSERT_TRUE(map.ok());
   (*map)->TouchWrite(0);
@@ -153,11 +162,54 @@ TEST_F(AquilaTest, MsyncAfterRewriteCatchesNewWrites) {
   ASSERT_TRUE(runtime_->Unmap(*map).ok());
 }
 
+// The clock sweep claims a candidate (kEvicting) before it reads the
+// referenced bit, and hands a referenced frame back resident, still dirty.
+// msync has taken the page's dirty item out of the tree by then, so a claim
+// that lands in that window must be waited out: skipping the frame would
+// leave it dirty with no item, and no later msync would ever write it.
+TEST_F(AquilaTest, SyncWaitsOutABriefEvictionClaimOnADirtyPage) {
+  constexpr uint32_t kRounds = 2000;
+  DeviceBacking& backing = NewBacking(0, 1 << 20);
+  StatusOr<MemoryMap*> map = runtime_->Map(&backing, 1 << 20, kProtRead | kProtWrite);
+  ASSERT_TRUE(map.ok());
+  (*map)->StoreValue<uint32_t>(0, 0);
+  const uint64_t start_page = static_cast<AquilaMap*>(*map)->vma().start_page;
+  const auto frame = static_cast<FrameId>(
+      Pte::Gpa(runtime_->page_table().Lookup(start_page << kPageShift)) >> kPageShift);
+
+  std::atomic<bool> stop{false};
+  std::thread sweeper([&] {
+    PageCache& cache = runtime_->cache();
+    while (!stop.load(std::memory_order_relaxed)) {
+      EXPECT_FALSE(cache.ClaimCandidate(frame));  // referenced: always handed back
+      CpuRelax();
+    }
+  });
+  uint32_t lost_at = 0;
+  for (uint32_t round = 1; round <= kRounds && lost_at == 0; round++) {
+    (*map)->StoreValue<uint32_t>(0, round);
+    if (!(*map)->Sync(0, kPageSize).ok()) {
+      lost_at = round;
+      break;
+    }
+    uint32_t durable;
+    std::memcpy(&durable, device_->dax_base(), sizeof(durable));
+    if (durable != round) {
+      lost_at = round;
+    }
+  }
+  stop.store(true, std::memory_order_relaxed);
+  sweeper.join();
+  EXPECT_EQ(lost_at, 0u) << "msync left round " << lost_at << "'s store off the device";
+  EXPECT_EQ(runtime_->cache().TotalDirty(), 0u);
+  ASSERT_TRUE(runtime_->Unmap(*map).ok());
+}
+
 TEST_F(AquilaTest, EvictionPreservesDataIntegrity) {
   // Working set 4x the cache: every page round-trips through eviction.
   constexpr uint64_t kBytes = 16ull << 20;
   FillDevice(0, kBytes);
-  DeviceBacking backing(device_.get(), 0, kBytes);
+  DeviceBacking& backing = NewBacking(0, kBytes);
   StatusOr<MemoryMap*> map = runtime_->Map(&backing, kBytes, kProtRead | kProtWrite);
   ASSERT_TRUE(map.ok());
 
@@ -182,7 +234,7 @@ TEST_F(AquilaTest, EvictionPreservesDataIntegrity) {
 }
 
 TEST_F(AquilaTest, UnmapFlushesDirtyPages) {
-  DeviceBacking backing(device_.get(), 0, 1 << 20);
+  DeviceBacking& backing = NewBacking(0, 1 << 20);
   StatusOr<MemoryMap*> map = runtime_->Map(&backing, 1 << 20, kProtRead | kProtWrite);
   ASSERT_TRUE(map.ok());
   std::vector<uint8_t> out(kPageSize, 0x5C);
@@ -202,7 +254,7 @@ TEST_F(AquilaTest, UnmapReturnsFramesToEveryCore) {
   std::thread worker([&] {
     CoreRegistry::SetCurrentCoreForTest((main_core + 1) % CoreRegistry::kMaxCores);
     runtime_->EnterThread();
-    DeviceBacking backing(device_.get(), 0, 1 << 20);
+    DeviceBacking& backing = NewBacking(0, 1 << 20);
     StatusOr<MemoryMap*> map = runtime_->Map(&backing, 1 << 20, kProtRead);
     ASSERT_TRUE(map.ok());
     for (uint64_t off = 0; off < (1 << 20); off += kPageSize) {
@@ -212,7 +264,7 @@ TEST_F(AquilaTest, UnmapReturnsFramesToEveryCore) {
   });
   worker.join();
 
-  DeviceBacking backing(device_.get(), 8 << 20, kCachePages * kPageSize);
+  DeviceBacking& backing = NewBacking(8 << 20, kCachePages * kPageSize);
   StatusOr<MemoryMap*> map = runtime_->Map(&backing, kCachePages * kPageSize, kProtRead);
   ASSERT_TRUE(map.ok());
   ASSERT_TRUE((*map)->Advise(0, kCachePages * kPageSize, Advice::kRandom).ok());
@@ -230,7 +282,7 @@ TEST_F(AquilaTest, UnmapReturnsFramesToEveryCore) {
 // wait on the parked frame nor see anything but the device's bytes.
 TEST_F(AquilaTest, RefaultFromOwnPendingBatchRereadsTheDevice) {
   FillDevice(0, 16 << 20);
-  DeviceBacking backing(device_.get(), 0, 16 << 20);
+  DeviceBacking& backing = NewBacking(0, 16 << 20);
   StatusOr<MemoryMap*> map = runtime_->Map(&backing, 16 << 20, kProtRead);
   ASSERT_TRUE(map.ok());
   ASSERT_TRUE((*map)->Advise(0, 16 << 20, Advice::kRandom).ok());
@@ -279,7 +331,7 @@ TEST_F(AquilaTest, RefaultFromOwnPendingBatchRereadsTheDevice) {
 // it (without falling back to a full eviction batch), and after Unmap every
 // frame is free again.
 TEST_F(AquilaTest, ExitedThreadsPendingBatchIsStolenByADryAllocator) {
-  DeviceBacking backing(device_.get(), 0, 16 << 20);
+  DeviceBacking& backing = NewBacking(0, 16 << 20);
   StatusOr<MemoryMap*> map = runtime_->Map(&backing, 16 << 20, kProtRead);
   ASSERT_TRUE(map.ok());
   ASSERT_TRUE((*map)->Advise(0, 16 << 20, Advice::kRandom).ok());
@@ -321,7 +373,7 @@ TEST_F(AquilaTest, ExitedThreadsPendingBatchIsStolenByADryAllocator) {
 
 TEST_F(AquilaTest, SequentialAdviceTriggersReadAhead) {
   FillDevice(0, 1 << 20);
-  DeviceBacking backing(device_.get(), 0, 1 << 20);
+  DeviceBacking& backing = NewBacking(0, 1 << 20);
   StatusOr<MemoryMap*> map = runtime_->Map(&backing, 1 << 20, kProtRead);
   ASSERT_TRUE(map.ok());
   ASSERT_TRUE((*map)->Advise(0, 1 << 20, Advice::kSequential).ok());
@@ -341,7 +393,7 @@ TEST_F(AquilaTest, SequentialAdviceTriggersReadAhead) {
 }
 
 TEST_F(AquilaTest, DontNeedDropsPages) {
-  DeviceBacking backing(device_.get(), 0, 1 << 20);
+  DeviceBacking& backing = NewBacking(0, 1 << 20);
   StatusOr<MemoryMap*> map = runtime_->Map(&backing, 1 << 20, kProtRead | kProtWrite);
   ASSERT_TRUE(map.ok());
   (*map)->TouchWrite(0);
@@ -356,7 +408,7 @@ TEST_F(AquilaTest, DontNeedDropsPages) {
 }
 
 TEST_F(AquilaTest, MprotectBlocksWritesAndDowngrades) {
-  DeviceBacking backing(device_.get(), 0, 1 << 20);
+  DeviceBacking& backing = NewBacking(0, 1 << 20);
   StatusOr<MemoryMap*> map = runtime_->Map(&backing, 1 << 20, kProtRead | kProtWrite);
   ASSERT_TRUE(map.ok());
   auto* amap = static_cast<AquilaMap*>(*map);
@@ -374,7 +426,7 @@ TEST_F(AquilaTest, MprotectBlocksWritesAndDowngrades) {
 
 TEST_F(AquilaTest, RemapPreservesCachedData) {
   FillDevice(0, 2 << 20);
-  DeviceBacking backing(device_.get(), 0, 2 << 20);
+  DeviceBacking& backing = NewBacking(0, 2 << 20);
   StatusOr<MemoryMap*> map = runtime_->Map(&backing, 1 << 20, kProtRead | kProtWrite);
   ASSERT_TRUE(map.ok());
   (*map)->TouchWrite(0);  // dirty page carried across the remap
@@ -393,7 +445,7 @@ TEST_F(AquilaTest, RemapPreservesCachedData) {
 }
 
 TEST_F(AquilaTest, MapValidation) {
-  DeviceBacking backing(device_.get(), 0, 1 << 20);
+  DeviceBacking& backing = NewBacking(0, 1 << 20);
   EXPECT_FALSE(runtime_->Map(&backing, 0, kProtRead).ok());
   EXPECT_FALSE(runtime_->Map(&backing, 2 << 20, kProtRead).ok());  // beyond backing
   EXPECT_FALSE(runtime_->Map(&backing, 1 << 20, 0).ok());
@@ -401,7 +453,7 @@ TEST_F(AquilaTest, MapValidation) {
 }
 
 TEST_F(AquilaTest, AccessBeyondMappingRejected) {
-  DeviceBacking backing(device_.get(), 0, 1 << 20);
+  DeviceBacking& backing = NewBacking(0, 1 << 20);
   StatusOr<MemoryMap*> map = runtime_->Map(&backing, 1 << 20, kProtRead);
   ASSERT_TRUE(map.ok());
   std::vector<uint8_t> buf(16);
@@ -426,7 +478,7 @@ TEST_F(AquilaTest, MultiThreadedSharedMapIntegrity) {
   constexpr uint64_t kBytes = 8ull << 20;
   constexpr int kThreads = 8;
   FillDevice(0, kBytes);
-  DeviceBacking backing(device_.get(), 0, kBytes);
+  DeviceBacking& backing = NewBacking(0, kBytes);
   StatusOr<MemoryMap*> map = runtime_->Map(&backing, kBytes, kProtRead | kProtWrite);
   ASSERT_TRUE(map.ok());
 
@@ -516,7 +568,7 @@ std::vector<uint8_t> StampedPage(uint64_t tag, uint64_t page) {
 
 TEST_F(AquilaTest, WholePageWriteToUntouchedPageReadsNothing) {
   FillDevice(0, 1 << 20);
-  DeviceBacking backing(device_.get(), 0, 1 << 20);
+  DeviceBacking& backing = NewBacking(0, 1 << 20);
   StatusOr<MemoryMap*> map = runtime_->Map(&backing, 1 << 20, kProtRead | kProtWrite);
   ASSERT_TRUE(map.ok());
   const std::vector<uint8_t> page = StampedPage(7, 5);
@@ -551,7 +603,7 @@ TEST_F(AquilaTest, WholePageWriteToUntouchedPageReadsNothing) {
 
 TEST_F(AquilaTest, PartialWriteToUntouchedPageStillReads) {
   FillDevice(0, 1 << 20);
-  DeviceBacking backing(device_.get(), 0, 1 << 20);
+  DeviceBacking& backing = NewBacking(0, 1 << 20);
   StatusOr<MemoryMap*> map = runtime_->Map(&backing, 1 << 20, kProtRead | kProtWrite);
   ASSERT_TRUE(map.ok());
   const std::vector<uint8_t> out(kPageSize - 1, 0xE5);
@@ -572,7 +624,7 @@ TEST_F(AquilaTest, PartialWriteToUntouchedPageStillReads) {
 
 TEST_F(AquilaTest, MultiPageWriteSkipsTheReadOnlyForCoveredPages) {
   FillDevice(0, 1 << 20);
-  DeviceBacking backing(device_.get(), 0, 1 << 20);
+  DeviceBacking& backing = NewBacking(0, 1 << 20);
   StatusOr<MemoryMap*> map = runtime_->Map(&backing, 1 << 20, kProtRead | kProtWrite);
   ASSERT_TRUE(map.ok());
   // Covers the tail of page 2, all of pages 3 and 4, and the head of page 5.
@@ -610,8 +662,8 @@ TEST_F(AquilaTest, OverwriteFillNeverExposesARecycledFramesBytes) {
     std::memcpy(device_->dax_base() + kOffsetB + p * kPageSize, StampedPage(2, p).data(),
                 kPageSize);
   }
-  DeviceBacking backing_a(device_.get(), 0, kPagesA * kPageSize);
-  DeviceBacking backing_b(device_.get(), kOffsetB, kPagesB * kPageSize);
+  DeviceBacking& backing_a = NewBacking(0, kPagesA * kPageSize);
+  DeviceBacking& backing_b = NewBacking(kOffsetB, kPagesB * kPageSize);
   StatusOr<MemoryMap*> map_a = runtime_->Map(&backing_a, kPagesA * kPageSize, kProtRead);
   StatusOr<MemoryMap*> map_b =
       runtime_->Map(&backing_b, kPagesB * kPageSize, kProtRead | kProtWrite);
@@ -1365,6 +1417,148 @@ TEST_F(ReadaheadStreamTest, TwoCoresScanningOneRangeReadEveryPageOnce) {
   EXPECT_EQ(nvme_->stats().reads.load(), kPages);
   EXPECT_EQ(stats.major_faults.load() + stats.readahead_pages.load(), kPages);
   ASSERT_TRUE(runtime->Unmap(*map).ok());
+}
+
+// --- Multi-page Reads (DESIGN.md §8) -----------------------------------------
+//
+// A Read over several pages queues every missing page after the first before
+// it faults the first, so the range waits for one device latency, not one
+// per page.
+
+// Simulated cycles of one Read, less the host-measured cache-management
+// share (which a sanitizer or a loaded machine inflates).
+uint64_t TimedRead(MemoryMap* map, uint64_t offset, std::span<uint8_t> dst) {
+  SimClock& clock = ThisVcpu().clock();
+  const uint64_t start = clock.Now();
+  const CostBreakdown before = clock.Breakdown();
+  AQUILA_CHECK(map->Read(offset, dst).ok());
+  return clock.Now() - start - (clock.Breakdown() - before)[CostCategory::kCacheMgmt];
+}
+
+TEST_F(ReadaheadStreamTest, TwoColdPagesWaitForTheDeviceOnce) {
+  DeviceBacking backing(nvme_.get(), 0, 1 << 20);
+  std::unique_ptr<Aquila> runtime = MakeRuntime();
+  StatusOr<MemoryMap*> map = runtime->Map(&backing, 1 << 20, kProtRead);
+  ASSERT_TRUE(map.ok());
+  std::vector<uint8_t> one(kPageSize);
+  const uint64_t one_miss = TimedRead(*map, 10 * kPageSize, std::span(one));
+  const uint64_t reads = nvme_->stats().reads.load();
+  const uint64_t majors = runtime->fault_stats().major_faults.load();
+  // 3 KB from the end of page 20 into page 21.
+  std::vector<uint8_t> two(kPageSize);
+  const uint64_t offset = 21 * kPageSize - 3000;
+  const uint64_t two_misses = TimedRead(*map, offset, std::span(two));
+  for (uint64_t i = 0; i < two.size(); i++) {
+    ASSERT_EQ(two[i], PatternAt(offset + i)) << "byte " << i;
+  }
+  EXPECT_EQ(nvme_->stats().reads.load(), reads + 2);
+  EXPECT_EQ(runtime->fault_stats().major_faults.load(), majors + 2);
+  EXPECT_EQ(runtime->fault_stats().readahead_pages.load(), 0u);
+  EXPECT_LT(two_misses, one_miss * 3 / 2) << "one miss " << one_miss;
+  ASSERT_TRUE(runtime->Unmap(*map).ok());
+}
+
+TEST_F(ReadaheadStreamTest, MultiPageReadFetchesOnlyItsMissingPages) {
+  DeviceBacking backing(nvme_.get(), 0, 1 << 20);
+  std::unique_ptr<Aquila> runtime = MakeRuntime();
+  StatusOr<MemoryMap*> map = runtime->Map(&backing, 1 << 20, kProtRead);
+  ASSERT_TRUE(map.ok());
+  // Page 1 resident, page 2's fill in flight, pages 0 and 3 cold.
+  EXPECT_TRUE((*map)->TouchRead(kPageSize).faulted);
+  ASSERT_TRUE((*map)->Advise(2 * kPageSize, kPageSize, Advice::kWillNeed).ok());
+  std::vector<uint8_t> buf(4 * kPageSize - 200);
+  ASSERT_TRUE((*map)->Read(100, std::span(buf)).ok());
+  for (uint64_t i = 0; i < buf.size(); i++) {
+    ASSERT_EQ(buf[i], PatternAt(100 + i)) << "byte " << i;
+  }
+  EXPECT_EQ(nvme_->stats().reads.load(), 4u);
+  // Both cold pages were demand reads; the WillNeed page was read-ahead.
+  EXPECT_EQ(runtime->fault_stats().major_faults.load(), 3u);
+  EXPECT_EQ(runtime->fault_stats().readahead_pages.load(), 1u);
+  ASSERT_TRUE(runtime->Unmap(*map).ok());
+}
+
+TEST_F(ReadaheadStreamTest, FailedQueuedFillOfAReadIsRereadOrSurfaced) {
+  // Read attempt 1 is page 1's queued fill, 2 is page 0's fault; 3 and on
+  // are page 1's fault after its fill failed.
+  FaultInjectingDevice::Options fault_options;
+  fault_options.fail_reads = {1};
+  FaultInjectingDevice faults(nvme_.get(), fault_options);
+  DeviceBacking backing(&faults, 0, 1 << 20);
+  // The second mapping's page 1 fails every time.
+  FaultInjectingDevice::Options failing_options;
+  failing_options.fail_reads = {1, 3, 4, 5, 6, 7, 8};
+  FaultInjectingDevice failing(nvme_.get(), failing_options);
+  DeviceBacking failing_backing(&failing, 0, 1 << 20);
+  std::unique_ptr<Aquila> runtime = MakeRuntime();
+  StatusOr<MemoryMap*> map = runtime->Map(&backing, 1 << 20, kProtRead);
+  ASSERT_TRUE(map.ok());
+  std::vector<uint8_t> buf(2 * kPageSize);
+  ASSERT_TRUE((*map)->Read(0, std::span(buf)).ok());
+  for (uint64_t i = 0; i < buf.size(); i++) {
+    ASSERT_EQ(buf[i], PatternAt(i)) << "byte " << i;
+  }
+  EXPECT_EQ(faults.fault_stats().injected_read_errors.load(), 1u);
+  ASSERT_TRUE(runtime->Unmap(*map).ok());
+  EXPECT_EQ(runtime->cache().ApproxFreeFrames(), kCachePages);
+
+  // With page 1 failing every time, the Read reports it.
+  map = runtime->Map(&failing_backing, 1 << 20, kProtRead);
+  ASSERT_TRUE(map.ok());
+  EXPECT_EQ((*map)->Read(0, std::span(buf)).code(), StatusCode::kIoError);
+  ASSERT_TRUE(runtime->Unmap(*map).ok());
+  EXPECT_EQ(runtime->cache().ApproxFreeFrames(), kCachePages);
+}
+
+TEST_F(ReadaheadStreamTest, ConcurrentMultiPageReadsUnderEvictionSeeTheDevice) {
+  // Readers race over overlapping ranges of a mapping 4x the cache: a queued
+  // page may be consumed by another reader, evicted before its own reader
+  // reaches it, or still in flight when several readers want it.
+  constexpr int kThreads = 3;
+  constexpr uint64_t kPages = 1024;
+  constexpr int kReads = 600;
+  DeviceBacking backing(nvme_.get(), 0, kPages * kPageSize);
+  Aquila::Options options;
+  options.hypervisor.host_memory_bytes = 64ull << 20;
+  options.cache.capacity_pages = kPages / 4;
+  options.cache.max_pages = kPages / 4;
+  options.cache.eviction_batch = 16;
+  Aquila runtime(options);
+  StatusOr<MemoryMap*> map = runtime.Map(&backing, kPages * kPageSize, kProtRead);
+  ASSERT_TRUE(map.ok());
+  std::atomic<uint64_t> bad{0};
+  std::atomic<uint64_t> failed{0};
+  auto reader = [&](int id) {
+    runtime.EnterThread();
+    Rng rng(100 + id);
+    std::vector<uint8_t> buf(3 * kPageSize);
+    for (int i = 0; i < kReads; i++) {
+      const uint64_t len = 1 + rng.Uniform(buf.size());
+      const uint64_t offset = rng.Uniform(kPages * kPageSize - len);
+      if (!(*map)->Read(offset, std::span(buf.data(), len)).ok()) {
+        failed.fetch_add(1);
+        continue;
+      }
+      for (uint64_t b = 0; b < len; b++) {
+        if (buf[b] != PatternAt(offset + b)) {
+          bad.fetch_add(1);
+          break;
+        }
+      }
+    }
+  };
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; t++) {
+    threads.emplace_back(reader, t);
+  }
+  for (std::thread& t : threads) {
+    t.join();
+  }
+  EXPECT_EQ(bad.load(), 0u);
+  EXPECT_EQ(failed.load(), 0u);
+  EXPECT_GT(runtime.fault_stats().evicted_pages.load(), 0u);
+  ASSERT_TRUE(runtime.Unmap(*map).ok());
+  EXPECT_EQ(runtime.cache().ApproxFreeFrames(), kPages / 4);
 }
 
 }  // namespace
