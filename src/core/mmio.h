@@ -27,6 +27,8 @@ enum class Advice {
   kSequential,  // aggressive read-ahead
   kWillNeed,    // prefetch the range now
   kDontNeed,    // drop the range from the cache
+  kWriteBack,   // msync(MS_ASYNC): start writing the range's dirty pages
+                // back and return; the pages stay cached
 };
 
 // Outcome of one single-page touch. `faulted` is only meaningful when
@@ -78,7 +80,9 @@ class MemoryMap {
   // msync(MS_SYNC) over [offset, offset+length).
   virtual Status Sync(uint64_t offset, uint64_t length) = 0;
 
-  // madvise over [offset, offset+length).
+  // madvise over [offset, offset+length). kWriteBack is msync(MS_ASYNC)
+  // expressed as advice: it promises nothing about when the pages reach the
+  // device, so it needs no entry point of its own next to Sync.
   virtual Status Advise(uint64_t offset, uint64_t length, Advice advice) = 0;
 
   // --- Batched request surface -------------------------------------------------

@@ -454,28 +454,7 @@ StatusOr<FrameId> AquilaMap::HandleFault(Vcpu& vcpu, uint64_t vaddr, bool write,
           continue;
         }
         req_span.set_op(telemetry::SpanOp::kFaultMinor);
-        // This install may map `page` onto a frame a pending deferral does
-        // not cover (e.g. a readahead frame re-reading a previously evicted
-        // file page): execute that deferral before the translation goes
-        // live. One relaxed load when the deferred table is empty.
-        runtime_->ResolveDeferredForVpn(vcpu, page, frame);
-        {
-          telemetry::ChildSpan install_span(vcpu.clock(), telemetry::SpanPhase::kFillCopy, vaddr);
-          ScopedMeasure measure(vcpu.clock(), CostCategory::kCacheMgmt);
-          f.vaddr.store(vaddr, std::memory_order_relaxed);
-          uint64_t flags =
-              write ? (Pte::kWritable | Pte::kDirty | Pte::kAccessed) : Pte::kAccessed;
-          AQUILA_CHECK(runtime_->page_table().Install(
-              vaddr, static_cast<uint64_t>(frame) << kPageShift, flags));
-          NotePteInstalled(file_page);
-          if (write && f.dirty.load(std::memory_order_relaxed) == 0) {
-            cache.MarkDirty(vcpu.core(), frame, SortKey(file_page * kPageSize));
-          }
-          if (transparent_base_ != nullptr) {
-            TrapDriver::InstallRealMapping(runtime_, vaddr, f.gpa, write);
-          }
-          f.state.store(FrameState::kResident, std::memory_order_release);
-        }
+        InstallPinned(vcpu, frame, vaddr, write);
         runtime_->fault_stats().minor_faults.fetch_add(1, std::memory_order_relaxed);
         // Read-ahead consumed this frame: the stream's faults reclaim for it.
         if (runtime_->reclaim_ahead()) {
@@ -524,13 +503,123 @@ StatusOr<FrameId> AquilaMap::HandleFault(Vcpu& vcpu, uint64_t vaddr, bool write,
     }
   }
 
-  // Major fault: allocate a frame. Reclaim normally ran ahead of need (the
-  // slice below); a dry allocator reaps async completions, then flushes a
-  // pending batch (its own, or one a quiet core left), and only then evicts
-  // a full batch itself (§3.2: batch of 512 — written back synchronously, or
-  // submitted to the device queue with completions reaped as fault handling
-  // continues).
   ReuseStamp stamp;
+  StatusOr<FrameId> allocated = AllocFaultFrame(vcpu, &stamp);
+  if (!allocated.ok()) {
+    return allocated.status();
+  }
+  frame = *allocated;
+
+  // Resolve the frame's last-owner stamp before filling: same-owner reuse
+  // elides the deferred shootdown outright (the stale translations point at
+  // this frame, about to hold the same bytes again); any other pending
+  // deferral — the stamp's or this page's — executes first (DESIGN.md §10).
+  // This is the only elision-eligible allocation site, which keeps the
+  // failure backstop below a single call. A cooperative demand fill forgoes
+  // elision: its fill completes in CompleteLocked, where the failure
+  // backstop below cannot run (same reason read-ahead fills never elide).
+  // An overwrite fill keeps elision: stale entries for this page see its
+  // current bytes, copied in before any translation goes live, and the copy
+  // cannot fail, so the backstop is never needed for it.
+  // A read queued behind held MS_ASYNC writes (ReadBehindHeld) forgoes it
+  // for the same reason.
+  AQUILA_DCHECK(overwrite == nullptr || coop == nullptr);
+  const bool coop_fill = coop != nullptr && coop->sched != nullptr;
+  const bool queued = !coop_fill && overwrite == nullptr && engine_->holding();
+  const bool elided = runtime_->ResolveReuseStamp(vcpu, stamp, frame, page,
+                                                  vma_.mapping_id,
+                                                  /*allow_elide=*/!coop_fill && !queued);
+
+  if (coop_fill) {
+    // Park point (c): submit the device read asynchronously and park as this
+    // fill's OWNER — the completion publishes the page (counting the major
+    // fault) and delivers its status terminally to us. The frame stays
+    // kFilling across the park, exactly like a read-ahead fill: invisible to
+    // evictors, owned by the pipeline.
+    uint64_t token = coop->sched->PrePark(key, frame);
+    if (token != 0) {
+      PageCache& pc = runtime_->cache();
+      Frame& f = pc.frame(frame);
+      f.key.store(key, std::memory_order_relaxed);
+      f.vaddr.store(0, std::memory_order_relaxed);
+      const FillRequest demand_fill{frame, key, file_page * kPageSize, /*demand=*/true};
+      size_t submitted;
+      Status submit = engine_->SubmitFills(vcpu, std::span(&demand_fill, 1), &submitted);
+      if (submit.ok()) {
+        telemetry::ChildSpan park_span(vcpu.clock(), telemetry::SpanPhase::kPark, vaddr);
+        coop->sched->CommitPark(token);
+        coop->token = token;
+        coop->parked = true;
+        coop->owner_park = true;
+        if (advice_.load(std::memory_order_relaxed) == Advice::kSequential) {
+          (void)ReadAhead(vcpu, file_page);
+        }
+        return kInvalidFrame;
+      }
+      // Submission machinery rejected the fill (not an I/O error): un-park
+      // and fall through to the blocking path. We still own the frame in
+      // kFilling, and elision was disabled above, so the synchronous
+      // FillAndPublish below is safe.
+      coop->sched->CancelPark(token);
+    }
+    // Parked table full (token == 0) or submission rejected: block instead.
+  }
+
+  if (queued) {
+    bool consumed = false;
+    const FrameId installed = ReadBehindHeld(vcpu, frame, vaddr, key, write, &consumed);
+    if (installed != kInvalidFrame) {
+      // The fill's publication counted the major fault.
+      AQUILA_TELEMETRY_ONLY(
+          telemetry::RecordSpanSince(GetFaultMetrics().fault_major, vcpu.clock(), fault_start));
+      return installed;
+    }
+    if (consumed) {
+      // The queued read failed (or its page was evicted before the pin):
+      // the synchronous read below retries with its own retry budget.
+      allocated = AllocFaultFrame(vcpu, &stamp);
+      if (!allocated.ok()) {
+        return allocated.status();
+      }
+      frame = *allocated;
+      (void)runtime_->ResolveReuseStamp(vcpu, stamp, frame, page, vma_.mapping_id,
+                                        /*allow_elide=*/false);
+    }
+  }
+
+  Status fill = FillAndPublish(vcpu, frame, vaddr, key, write, overwrite);
+  if (!fill.ok()) {
+    if (elided) {
+      // The elision re-legitimized stale entries against this frame's old
+      // identity; the fill failed, so that identity is gone — flush them
+      // before the frame recycles.
+      runtime_->ExecuteElidedShootdown(vcpu, page, vma_.mapping_id, frame);
+    }
+    cache.FreeFrame(vcpu.core(), frame);
+    return fill;
+  }
+  runtime_->fault_stats().major_faults.fetch_add(1, std::memory_order_relaxed);
+  if (overwrite != nullptr) {
+    // No device read, so no read-ahead either: a writer replacing whole
+    // pages would only overwrite what the window fetched.
+    runtime_->fault_stats().overwrite_fills.fetch_add(1, std::memory_order_relaxed);
+    *filled = true;
+  } else if (advice_.load(std::memory_order_relaxed) == Advice::kSequential) {
+    (void)ReadAhead(vcpu, file_page);  // best effort: a failed prefetch is not a fault error
+  }
+  AQUILA_TELEMETRY_ONLY(
+      telemetry::RecordSpanSince(GetFaultMetrics().fault_major, vcpu.clock(), fault_start));
+  return frame;
+}
+
+StatusOr<FrameId> AquilaMap::AllocFaultFrame(Vcpu& vcpu, ReuseStamp* stamp) {
+  // Reclaim normally ran ahead of need (the slice below); a dry allocator
+  // reaps async completions, then flushes a pending batch (its own, or one a
+  // quiet core left), and only then evicts a full batch itself (§3.2: batch
+  // of 512 — written back synchronously, or submitted to the device queue
+  // with completions reaped as fault handling continues).
+  PageCache& cache = runtime_->cache();
+  FrameId frame;
   uint64_t reclaim_cycles = 0;
   uint64_t idle_rounds = 0;
   SpinBackoff backoff;
@@ -538,7 +627,7 @@ StatusOr<FrameId> AquilaMap::HandleFault(Vcpu& vcpu, uint64_t vaddr, bool write,
     {
       telemetry::ChildSpan alloc_span(vcpu.clock(), telemetry::SpanPhase::kCacheLookup);
       ScopedMeasure measure(vcpu.clock(), CostCategory::kCacheMgmt);
-      frame = cache.AllocFrame(vcpu, vcpu.core(), &stamp);
+      frame = cache.AllocFrame(vcpu, vcpu.core(), stamp);
     }
     if (frame != kInvalidFrame) {
       break;
@@ -584,82 +673,74 @@ StatusOr<FrameId> AquilaMap::HandleFault(Vcpu& vcpu, uint64_t vaddr, bool write,
   if (reclaim_cycles > 0) {
     cache.NoteEvictCycles(reclaim_cycles);
   }
-
-  // Resolve the frame's last-owner stamp before filling: same-owner reuse
-  // elides the deferred shootdown outright (the stale translations point at
-  // this frame, about to hold the same bytes again); any other pending
-  // deferral — the stamp's or this page's — executes first (DESIGN.md §10).
-  // This is the only elision-eligible allocation site, which keeps the
-  // failure backstop below a single call. A cooperative demand fill forgoes
-  // elision: its fill completes in CompleteLocked, where the failure
-  // backstop below cannot run (same reason read-ahead fills never elide).
-  // An overwrite fill keeps elision: stale entries for this page see its
-  // current bytes, copied in before any translation goes live, and the copy
-  // cannot fail, so the backstop is never needed for it.
-  AQUILA_DCHECK(overwrite == nullptr || coop == nullptr);
-  const bool coop_fill = coop != nullptr && coop->sched != nullptr;
-  const bool elided = runtime_->ResolveReuseStamp(vcpu, stamp, frame, page,
-                                                  vma_.mapping_id,
-                                                  /*allow_elide=*/!coop_fill);
-
-  if (coop_fill) {
-    // Park point (c): submit the device read asynchronously and park as this
-    // fill's OWNER — the completion publishes the page (counting the major
-    // fault) and delivers its status terminally to us. The frame stays
-    // kFilling across the park, exactly like a read-ahead fill: invisible to
-    // evictors, owned by the pipeline.
-    uint64_t token = coop->sched->PrePark(key, frame);
-    if (token != 0) {
-      PageCache& pc = runtime_->cache();
-      Frame& f = pc.frame(frame);
-      f.key.store(key, std::memory_order_relaxed);
-      f.vaddr.store(0, std::memory_order_relaxed);
-      const FillRequest demand_fill{frame, key, file_page * kPageSize, /*demand=*/true};
-      size_t submitted;
-      Status submit = engine_->SubmitFills(vcpu, std::span(&demand_fill, 1), &submitted);
-      if (submit.ok()) {
-        telemetry::ChildSpan park_span(vcpu.clock(), telemetry::SpanPhase::kPark, vaddr);
-        coop->sched->CommitPark(token);
-        coop->token = token;
-        coop->parked = true;
-        coop->owner_park = true;
-        if (advice_.load(std::memory_order_relaxed) == Advice::kSequential) {
-          (void)ReadAhead(vcpu, file_page);
-        }
-        return kInvalidFrame;
-      }
-      // Submission machinery rejected the fill (not an I/O error): un-park
-      // and fall through to the blocking path. We still own the frame in
-      // kFilling, and elision was disabled above, so the synchronous
-      // FillAndPublish below is safe.
-      coop->sched->CancelPark(token);
-    }
-    // Parked table full (token == 0) or submission rejected: block instead.
-  }
-
-  Status fill = FillAndPublish(vcpu, frame, vaddr, key, write, overwrite);
-  if (!fill.ok()) {
-    if (elided) {
-      // The elision re-legitimized stale entries against this frame's old
-      // identity; the fill failed, so that identity is gone — flush them
-      // before the frame recycles.
-      runtime_->ExecuteElidedShootdown(vcpu, page, vma_.mapping_id, frame);
-    }
-    cache.FreeFrame(vcpu.core(), frame);
-    return fill;
-  }
-  runtime_->fault_stats().major_faults.fetch_add(1, std::memory_order_relaxed);
-  if (overwrite != nullptr) {
-    // No device read, so no read-ahead either: a writer replacing whole
-    // pages would only overwrite what the window fetched.
-    runtime_->fault_stats().overwrite_fills.fetch_add(1, std::memory_order_relaxed);
-    *filled = true;
-  } else if (advice_.load(std::memory_order_relaxed) == Advice::kSequential) {
-    (void)ReadAhead(vcpu, file_page);  // best effort: a failed prefetch is not a fault error
-  }
-  AQUILA_TELEMETRY_ONLY(
-      telemetry::RecordSpanSince(GetFaultMetrics().fault_major, vcpu.clock(), fault_start));
   return frame;
+}
+
+void AquilaMap::InstallPinned(Vcpu& vcpu, FrameId frame, uint64_t vaddr, bool write) {
+  PageCache& cache = runtime_->cache();
+  Frame& f = cache.frame(frame);
+  const uint64_t page = vaddr >> kPageShift;
+  const uint64_t file_page = page - vma_.start_page;
+  // This install may map `page` onto a frame a pending deferral does not
+  // cover (e.g. a readahead frame re-reading a previously evicted file
+  // page): execute that deferral before the translation goes live. One
+  // relaxed load when the deferred table is empty.
+  runtime_->ResolveDeferredForVpn(vcpu, page, frame);
+  telemetry::ChildSpan install_span(vcpu.clock(), telemetry::SpanPhase::kFillCopy, vaddr);
+  ScopedMeasure measure(vcpu.clock(), CostCategory::kCacheMgmt);
+  f.vaddr.store(vaddr, std::memory_order_relaxed);
+  uint64_t flags = write ? (Pte::kWritable | Pte::kDirty | Pte::kAccessed) : Pte::kAccessed;
+  AQUILA_CHECK(
+      runtime_->page_table().Install(vaddr, static_cast<uint64_t>(frame) << kPageShift, flags));
+  NotePteInstalled(file_page);
+  if (write && f.dirty.load(std::memory_order_relaxed) == 0) {
+    cache.MarkDirty(vcpu.core(), frame, SortKey(file_page * kPageSize));
+  }
+  if (transparent_base_ != nullptr) {
+    TrapDriver::InstallRealMapping(runtime_, vaddr, f.gpa, write);
+  }
+  f.state.store(FrameState::kResident, std::memory_order_release);
+}
+
+FrameId AquilaMap::ReadBehindHeld(Vcpu& vcpu, FrameId frame, uint64_t vaddr, uint64_t key,
+                                  bool write, bool* consumed) {
+  PageCache& cache = runtime_->cache();
+  Frame& f = cache.frame(frame);
+  f.key.store(key, std::memory_order_relaxed);
+  f.vaddr.store(0, std::memory_order_relaxed);
+  const FillRequest fill{frame, key, FilePageOfKey(key) * kPageSize, /*demand=*/true};
+  size_t submitted = 0;
+  *consumed = engine_->SubmitFills(vcpu, std::span(&fill, 1), &submitted).ok() && submitted == 1;
+  if (!*consumed) {
+    return kInvalidFrame;
+  }
+  engine_->ReleaseBehindFill(vcpu, key);
+  FrameId published;
+  {
+    telemetry::ChildSpan wait_span(vcpu.clock(), telemetry::SpanPhase::kQueueWait);
+    published = engine_->AwaitFill(vcpu, key);
+  }
+  // Published unmapped (vaddr 0), the frame is evictable without our entry
+  // lock until pinned, exactly like a read-ahead frame; and another thread's
+  // harvest may have published it before AwaitFill looked. So pin it like
+  // the minor-fault path does, until the pin holds or the hash has no page
+  // left (the read failed, or an evictor took it).
+  SpinBackoff backoff;
+  while (published != kInvalidFrame || cache.Lookup(key, &published)) {
+    Frame& pf = cache.frame(published);
+    FrameState expected = FrameState::kResident;
+    if (pf.state.compare_exchange_strong(expected, FrameState::kFilling,
+                                         std::memory_order_acq_rel)) {
+      if (pf.key.load(std::memory_order_relaxed) == key) {
+        InstallPinned(vcpu, published, vaddr, write);
+        return published;
+      }
+      pf.state.store(FrameState::kResident, std::memory_order_release);
+    }
+    published = kInvalidFrame;
+    backoff.Pause();
+  }
+  return kInvalidFrame;
 }
 
 Status AquilaMap::FillAndPublish(Vcpu& vcpu, FrameId frame, uint64_t vaddr, uint64_t key,
@@ -1331,7 +1412,7 @@ Status AquilaMap::Sync(uint64_t offset, uint64_t length) {
   // every in-flight writeback of this mapping. Failures restore their pages
   // dirty, the collection below re-claims them, and the synchronous pass
   // surfaces the EIO.
-  if (engine_->busy()) {
+  if (engine_->busy() || engine_->holding()) {
     telemetry::ChildSpan drain_span(vcpu.clock(), telemetry::SpanPhase::kQueueWait);
     (void)engine_->Drain(vcpu);
   }
@@ -1381,9 +1462,18 @@ Status AquilaMap::Sync(uint64_t offset, uint64_t length) {
           break;
         }
         const uint64_t key = f.key.load(std::memory_order_relaxed);
+        const bool ours = key == MakeKey(vma_.mapping_id, FilePageOfKey(key));
+        if (expected == FrameState::kWritingBack && ours) {
+          // An MS_ASYNC write in flight, re-dirtied by a store since its
+          // release: its completion leaves the frame resident, dirty and
+          // ours to claim. The wait reaps device completions, so it never
+          // waits on a claim.
+          (void)engine_->WaitOne(vcpu);
+          backoff.Pause();
+          continue;
+        }
         const bool claimed_dirty = expected == FrameState::kEvicting &&
-                                   f.dirty.load(std::memory_order_relaxed) != 0 &&
-                                   key == MakeKey(vma_.mapping_id, FilePageOfKey(key));
+                                   f.dirty.load(std::memory_order_relaxed) != 0 && ours;
         if (claimed_dirty && !claimed.empty()) {
           deferred.push_back(frame);
           break;
@@ -1415,21 +1505,26 @@ Status AquilaMap::Sync(uint64_t offset, uint64_t length) {
         f.state.store(FrameState::kResident, std::memory_order_release);
         continue;
       }
+      // Write-protect under the page's entry lock, so future stores re-fault
+      // and re-mark dirty. An access that read the PTE writable holds that
+      // lock until its store is done; clearing W without it would let the
+      // store land after the copy on a page marked clean. The lock is only
+      // tried (this pass holds claims): a busy page is handed back and a
+      // later pass retries it.
+      uint64_t fvaddr = f.vaddr.load(std::memory_order_relaxed);
+      Vma* vma;
+      if (fvaddr != 0 && !runtime_->vma_tree().TryLockEntry(fvaddr >> kPageShift, &vma)) {
+        f.state.store(FrameState::kResident, std::memory_order_release);
+        deferred.push_back(frame);
+        continue;
+      }
+      AQUILA_RACE_POINT("msync.write_protect");
       // ClearDirty (not a bare flag store) unlinks the item if a recycled
       // incarnation re-inserted it, keeping flag and tree consistent.
       cache.ClearDirty(frame);
-      // Write-protect so future stores re-fault and re-mark dirty.
-      uint64_t fvaddr = f.vaddr.load(std::memory_order_relaxed);
-      std::atomic<uint64_t>* pte =
-          fvaddr != 0 ? runtime_->page_table().WalkExisting(fvaddr) : nullptr;
-      if (pte != nullptr) {
-        pte->fetch_and(~(Pte::kWritable | Pte::kDirty), std::memory_order_acq_rel);
-        if (transparent_base_ != nullptr &&
-            Pte::Present(pte->load(std::memory_order_relaxed))) {
-          TrapDriver::DowngradeRealMapping(fvaddr);
-        }
-      }
+      WriteProtect(fvaddr);
       if (fvaddr != 0) {
+        UnlockPage(fvaddr >> kPageShift);
         // Unified capture rule (CaptureShootdownPage): frame claimed
         // (kEvicting), W bit cleared above. The mask is read but NOT
         // cleared: the page stays resident, and unclaimed hit-path readers
@@ -1466,6 +1561,7 @@ Status AquilaMap::Sync(uint64_t offset, uint64_t length) {
   // released its own claims.
   Status result;
   bool first_pass = true;
+  SpinBackoff pass_backoff;
   do {
     planner = WritebackPlanner();
     vpns.clear();
@@ -1486,8 +1582,12 @@ Status AquilaMap::Sync(uint64_t offset, uint64_t length) {
       collect_and_claim();
     }
 
+    if (planner.empty() && !deferred.empty()) {
+      pass_backoff.Pause();  // only busy pages this pass: let their accesses finish
+    }
     // Shoot down stale writable TLB entries before reading page contents.
     runtime_->ShootdownPages(vcpu, vpns);
+    AQUILA_RACE_POINT("msync.pre_copy");
 
     Status status;
     {
@@ -1535,6 +1635,73 @@ Status AquilaMap::Sync(uint64_t offset, uint64_t length) {
   return Status::Ok();
 }
 
+void AquilaMap::WriteProtect(uint64_t vaddr) {
+  std::atomic<uint64_t>* pte = vaddr != 0 ? runtime_->page_table().WalkExisting(vaddr) : nullptr;
+  if (pte == nullptr) {
+    return;
+  }
+  pte->fetch_and(~(Pte::kWritable | Pte::kDirty), std::memory_order_acq_rel);
+  if (transparent_base_ != nullptr && Pte::Present(pte->load(std::memory_order_relaxed))) {
+    TrapDriver::DowngradeRealMapping(vaddr);
+  }
+}
+
+void AquilaMap::WriteBackHeld(Vcpu& vcpu, std::span<const uint64_t> file_pages) {
+  PageCache& cache = runtime_->cache();
+  WritebackPlanner planner;
+  std::vector<PageShootdown> vpns;
+  for (uint64_t file_page : file_pages) {
+    const uint64_t page = vma_.start_page + file_page;
+    Vma* vma;
+    if (!runtime_->vma_tree().TryLockEntry(page, &vma)) {
+      continue;  // a fault in flight there, or the mapping is going away
+    }
+    const uint64_t key = MakeKey(vma_.mapping_id, file_page);
+    FrameId frame;
+    if (!cache.Lookup(key, &frame)) {
+      UnlockPage(page);
+      continue;  // evicted (and so written) since it was held
+    }
+    Frame& f = cache.frame(frame);
+    FrameState expected = FrameState::kResident;
+    if (!f.state.compare_exchange_strong(expected, FrameState::kWritingBack,
+                                         std::memory_order_acq_rel)) {
+      UnlockPage(page);
+      continue;  // an evictor, msync or fill owns it; it writes what it must
+    }
+    if (f.key.load(std::memory_order_relaxed) != key ||
+        f.dirty.load(std::memory_order_relaxed) == 0) {
+      // Recycled, or synced since it was held: nothing to write.
+      f.state.store(FrameState::kResident, std::memory_order_release);
+      UnlockPage(page);
+      continue;
+    }
+    AQUILA_RACE_POINT("writeback.release.claim");
+    {
+      ScopedMeasure measure(vcpu.clock(), CostCategory::kDirtyTracking);
+      cache.ClearDirty(frame);
+    }
+    // Under the entry lock no access is mid-store through the writable
+    // translation, and the next store takes the write-upgrade fault, which
+    // re-dirties the page.
+    WriteProtect(f.vaddr.load(std::memory_order_relaxed));
+    // Unified capture rule (CaptureShootdownPage): frame claimed
+    // (kWritingBack), W bit cleared above; the page stays mapped, so the
+    // mask is read but not cleared.
+    vpns.push_back(CaptureShootdownPage(f, page));
+    UnlockPage(page);
+    planner.Add(WritebackItem{SortKey(file_page * kPageSize), file_page * kPageSize,
+                              cache.FrameData(vcpu, frame), frame, this});
+  }
+  if (planner.empty()) {
+    return;
+  }
+  // One shootdown for the whole release, before any write reads a page.
+  runtime_->ShootdownPages(vcpu, vpns);
+  AQUILA_RACE_POINT("writeback.release.submit");
+  (void)planner.SubmitQueued(vcpu, /*keep_resident=*/true);
+}
+
 Status AquilaMap::Advise(uint64_t offset, uint64_t length, Advice advice) {
   Vcpu& vcpu = ThisVcpu();
   PageCache& cache = runtime_->cache();
@@ -1558,6 +1725,27 @@ Status AquilaMap::Advise(uint64_t offset, uint64_t length, Advice advice) {
         uint64_t first = offset >> kPageShift;
         uint64_t last = std::min((offset + length - 1) >> kPageShift, vma_.page_count - 1);
         (void)FillPages(vcpu, first, last, /*demand=*/false);
+      }
+      return Status::Ok();
+    }
+    case Advice::kWriteBack: {
+      // Hold the range's dirty pages for a background write (DESIGN.md §8).
+      // Each is found by key: walking the per-core dirty trees per call
+      // costs more than the write saves.
+      uint64_t first = offset >> kPageShift;
+      uint64_t last = std::min((offset + length - 1) >> kPageShift, vma_.page_count - 1);
+      std::array<uint64_t, 16> dirty;
+      size_t n = 0;
+      for (uint64_t file_page = first; file_page <= last; file_page++) {
+        FrameId frame;
+        if (cache.Lookup(MakeKey(vma_.mapping_id, file_page), &frame) &&
+            cache.frame(frame).dirty.load(std::memory_order_relaxed) != 0) {
+          dirty[n++] = file_page;
+        }
+        if (n == dirty.size() || (n > 0 && file_page == last)) {
+          engine_->HoldWritebacks(vcpu, std::span(dirty.data(), n));
+          n = 0;
+        }
       }
       return Status::Ok();
     }

@@ -238,6 +238,35 @@ class AquilaMap : public MemoryMap {
   // whole page; cannot fail) when given, else from the backing.
   Status FillAndPublish(Vcpu& vcpu, FrameId frame, uint64_t vaddr, uint64_t key, bool write,
                         const uint8_t* overwrite);
+  // The major fault's frame: allocates one, reaping, flushing a pending batch
+  // or evicting a full batch while the allocator is dry, then runs the
+  // fault's reclaim slice and bills both to the cache's evict cycles.
+  StatusOr<FrameId> AllocFaultFrame(Vcpu& vcpu, ReuseStamp* stamp);
+  // Installs the translation of the page at `vaddr` onto `frame`, which the
+  // caller pinned (kResident -> kFilling under the entry lock), and
+  // republishes the frame kResident.
+  void InstallPinned(Vcpu& vcpu, FrameId frame, uint64_t vaddr, bool write);
+  // A major fault on a mapping that holds MS_ASYNC pages: reads `frame`'s
+  // page as a queued demand fill, releases the held writes that fit behind
+  // it (AsyncWritebackEngine::ReleaseBehindFill), waits the read out and
+  // installs the page. Returns the installed frame, or kInvalidFrame with
+  // `*consumed` false when the queue rejected the read (the caller still
+  // owns `frame`) and true when the read failed or its page was evicted
+  // before the pin (the frame is gone; the caller reads synchronously).
+  FrameId ReadBehindHeld(Vcpu& vcpu, FrameId frame, uint64_t vaddr, uint64_t key, bool write,
+                         bool* consumed);
+  // Clears the W and D bits of the PTE at `vaddr` (0: no translation), so
+  // the next store takes the write-upgrade fault. The caller holds the
+  // page's entry lock and a claim on its frame.
+  void WriteProtect(uint64_t vaddr);
+  // Releases held MS_ASYNC pages (AsyncWritebackEngine::HoldWritebacks):
+  // claims each still-dirty resident page kWritingBack under its entry lock
+  // (TryLock; a busy page stays dirty for a later msync), clears its dirty
+  // bit and its PTE's W bit, shoots every claimed page down in one batch and
+  // submits the writes, which keep the pages cached. A store after the W
+  // clear takes the write-upgrade fault and re-dirties the page, so it is
+  // never lost. Skips pages evicted or cleaned since they were held.
+  void WriteBackHeld(Vcpu& vcpu, std::span<const uint64_t> file_pages);
 
   // Records the outcome of one writeback batch (sync) or completion (async):
   // failures count toward the degradation limit, a success resets the count.
@@ -248,8 +277,8 @@ class AquilaMap : public MemoryMap {
   // and false on the async path (which keeps it for waiting faulters).
   void RestoreDirtyFrame(Vcpu& vcpu, FrameId frame, uint64_t sort_key, bool reinsert_mapping);
 
-  // The mapping's device-queue engine: every readahead fill, and reclaim
-  // writeback when Options::async_writeback is set.
+  // The mapping's device-queue engine: every readahead fill, msync(MS_ASYNC)
+  // writeback, and reclaim writeback when Options::async_writeback is set.
   AsyncWritebackEngine* writeback_engine() { return engine_.get(); }
 
   // Maps up to Options::fault_around_pages already-resident forward

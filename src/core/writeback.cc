@@ -7,6 +7,7 @@
 #include "src/storage/device_health.h"
 #include "src/telemetry/scoped_timer.h"
 #include "src/util/logging.h"
+#include "src/util/race_injector.h"
 #include "src/vmx/cost_model.h"
 
 namespace aquila {
@@ -79,7 +80,7 @@ Status WritebackPlanner::SubmitReclaim(Vcpu& vcpu, std::vector<FrameId>* to_free
     return Status::Ok();
   }
   if (items_.front().owner->runtime_->options().async_writeback) {
-    return SubmitAsync(vcpu);
+    return SubmitQueued(vcpu, /*keep_resident=*/false);
   }
   Sort(vcpu);
   Status first_error;
@@ -112,11 +113,11 @@ Status WritebackPlanner::SubmitReclaim(Vcpu& vcpu, std::vector<FrameId>* to_free
   return first_error;
 }
 
-Status WritebackPlanner::SubmitAsync(Vcpu& vcpu) {
+Status WritebackPlanner::SubmitQueued(Vcpu& vcpu, bool keep_resident) {
   Sort(vcpu);
   Status first_error;
   for (const WritebackItem& item : items_) {
-    Status status = item.owner->writeback_engine()->SubmitWriteback(vcpu, item);
+    Status status = item.owner->writeback_engine()->SubmitWriteback(vcpu, item, keep_resident);
     if (!status.ok()) {
       // The submission machinery itself rejected the request (I/O errors
       // arrive in completions, not here). The page's data never left the
@@ -170,7 +171,8 @@ AsyncWritebackEngine::AsyncWritebackEngine(Aquila* runtime, AquilaMap* map, uint
       watchdog_(runtime->options().device_op_timeout_us != 0),
       queue_(MakeEngineQueue(runtime, map, depth)),
       slots_(queue_->depth()),
-      fill_keys_(std::make_unique<std::atomic<uint64_t>[]>(slots_.size())) {
+      fill_keys_(std::make_unique<std::atomic<uint64_t>[]>(slots_.size())),
+      hold_writes_(map->backing()->device()->supports_queueing()) {
   free_slots_.reserve(slots_.size());
   for (uint32_t i = static_cast<uint32_t>(slots_.size()); i > 0; i--) {
     free_slots_.push_back(i - 1);
@@ -183,14 +185,16 @@ AsyncWritebackEngine::~AsyncWritebackEngine() {
   AQUILA_DCHECK(queue_->in_flight() == 0 && local_.empty());
 }
 
-Status AsyncWritebackEngine::SubmitWriteback(Vcpu& vcpu, const WritebackItem& item) {
+Status AsyncWritebackEngine::SubmitWriteback(Vcpu& vcpu, const WritebackItem& item,
+                                             bool keep_resident) {
   std::lock_guard<SpinLock> guard(lock_);
   uint32_t index = ClaimSlotLocked(vcpu);
   Slot& slot = slots_[index];
   // The frame is ours (kWritingBack): its key is stable until completion.
   uint64_t key = runtime_->cache().frame(item.frame).key.load(std::memory_order_relaxed);
-  slot = Slot{Slot::Kind::kWriteback, /*demand=*/false, /*published=*/false, item.frame, key,
-              item.sort_key, item.file_offset, telemetry::CurrentSpanContext()};
+  slot = Slot{Slot::Kind::kWriteback, /*demand=*/false, /*published=*/false, keep_resident,
+              item.frame, key, item.sort_key, item.file_offset,
+              telemetry::CurrentSpanContext()};
   StatusOr<uint64_t> dev_offset = map_->backing_->TranslateForQueue(item.file_offset);
   if (dev_offset.ok()) {
     Status status =
@@ -221,9 +225,9 @@ Status AsyncWritebackEngine::SubmitFills(Vcpu& vcpu, std::span<const FillRequest
   for (const FillRequest& fill : fills) {
     uint32_t index = ClaimSlotLocked(vcpu);
     Slot& slot = slots_[index];
-    slot = Slot{Slot::Kind::kFill, fill.demand,      /*published=*/false,
-                fill.frame,        fill.key,         /*sort_key=*/0,
-                fill.file_offset,  telemetry::CurrentSpanContext()};
+    slot = Slot{Slot::Kind::kFill, fill.demand,     /*published=*/false, /*keep=*/false,
+                fill.frame,        fill.key,        /*sort_key=*/0,      fill.file_offset,
+                telemetry::CurrentSpanContext()};
     uint8_t* data = cache.FrameData(vcpu, fill.frame);
     StatusOr<uint64_t> dev_offset = map_->backing_->TranslateForQueue(fill.file_offset);
     if (dev_offset.ok()) {
@@ -247,6 +251,50 @@ Status AsyncWritebackEngine::SubmitFills(Vcpu& vcpu, std::span<const FillRequest
   // pages then find them published instead of taking the lock again.
   (void)ReapLocked(vcpu, /*wait=*/false);
   return Status::Ok();
+}
+
+void AsyncWritebackEngine::HoldWritebacks(Vcpu& vcpu, std::span<const uint64_t> file_pages) {
+  if (!hold_writes_) {
+    map_->WriteBackHeld(vcpu, file_pages);
+    return;
+  }
+  std::lock_guard<SpinLock> guard(lock_);
+  held_.insert(held_.end(), file_pages.begin(), file_pages.end());
+  if (held_.size() > slots_.size()) {
+    // Past the queue's depth the oldest pages are let go still dirty, for
+    // msync or eviction to write. Writing them now, with no read to hide
+    // behind, would take the channel just when the next read may need it.
+    held_.erase(held_.begin(),
+                held_.begin() + static_cast<ptrdiff_t>(held_.size() - slots_.size()));
+  }
+  held_count_.store(static_cast<uint32_t>(held_.size()), std::memory_order_relaxed);
+}
+
+void AsyncWritebackEngine::ReleaseBehindFill(Vcpu& vcpu, uint64_t key) {
+  std::vector<uint64_t> release;
+  {
+    std::lock_guard<SpinLock> guard(lock_);
+    size_t index = 0;
+    while (index < slots_.size() && fill_keys_[index].load(std::memory_order_relaxed) != key) {
+      index++;
+    }
+    // A fill already reaped, or a queue that cannot say when it completes
+    // (the watchdog), leaves nothing to slip behind.
+    const uint64_t deadline = index < slots_.size() ? queue_->ReadyAt(index) : UINT64_MAX;
+    if (deadline != UINT64_MAX) {
+      TakeHeldLocked(queue_->TransfersBy(vcpu.clock().Now(), deadline, kPageSize), &release);
+    }
+  }
+  if (!release.empty()) {
+    map_->WriteBackHeld(vcpu, release);
+  }
+}
+
+void AsyncWritebackEngine::TakeHeldLocked(size_t count, std::vector<uint64_t>* out) {
+  count = std::min(count, held_.size());
+  out->insert(out->end(), held_.begin(), held_.begin() + static_cast<ptrdiff_t>(count));
+  held_.erase(held_.begin(), held_.begin() + static_cast<ptrdiff_t>(count));
+  held_count_.store(static_cast<uint32_t>(held_.size()), std::memory_order_relaxed);
 }
 
 void AsyncWritebackEngine::CommitSlotLocked(uint32_t index) {
@@ -381,6 +429,14 @@ size_t AsyncWritebackEngine::WaitOne(Vcpu& vcpu) {
 }
 
 size_t AsyncWritebackEngine::Drain(Vcpu& vcpu) {
+  if (holding()) {
+    std::vector<uint64_t> release;
+    {
+      std::lock_guard<SpinLock> guard(lock_);
+      TakeHeldLocked(held_.size(), &release);
+    }
+    map_->WriteBackHeld(vcpu, release);
+  }
   // Always takes the lock, even when idle: teardown relies on it to wait out
   // a reaper still finishing its bookkeeping.
   std::lock_guard<SpinLock> guard(lock_);
@@ -526,7 +582,20 @@ void AsyncWritebackEngine::CompleteLocked(Vcpu& vcpu, const DeviceQueue::Complet
   FaultStats& stats = runtime_->fault_stats();
   if (slot.kind == Slot::Kind::kWriteback) {
     map_->NoteWritebackResult(completion.status);
-    if (completion.status.ok()) {
+    AQUILA_RACE_POINT("writeback.complete");
+    if (!completion.status.ok()) {
+      // Unwritten dirty data must not be dropped: restore in place (the
+      // mapping was kept) so the next writeback retries. A keep-resident
+      // page that a store re-dirtied meanwhile already has its tree item;
+      // MarkDirty's 0 -> 1 edge inserts at most one.
+      map_->RestoreDirtyFrame(vcpu, slot.frame, slot.sort_key, /*reinsert_mapping=*/false);
+    } else if (slot.keep) {
+      // The page stays cached and is clean — unless a store took the
+      // write-upgrade fault after the release, which re-dirtied it with its
+      // own tree item; that item stays for the next writeback.
+      stats.writeback_pages.fetch_add(1, std::memory_order_relaxed);
+      cache.frame(slot.frame).state.store(FrameState::kResident, std::memory_order_release);
+    } else {
       // The device acknowledged the page: drop the mapping and release the
       // frame. A faulter waiting out kWritingBack re-reads the (now durable)
       // data from the device.
@@ -535,10 +604,6 @@ void AsyncWritebackEngine::CompleteLocked(Vcpu& vcpu, const DeviceQueue::Complet
       stats.writeback_pages.fetch_add(1, std::memory_order_relaxed);
       stats.evicted_pages.fetch_add(1, std::memory_order_relaxed);
       (*freed)++;
-    } else {
-      // Unwritten dirty data must not be dropped: restore in place (the
-      // mapping was kept) so the next writeback retries.
-      map_->RestoreDirtyFrame(vcpu, slot.frame, slot.sort_key, /*reinsert_mapping=*/false);
     }
     // Requests parked on the kWritingBack pin (park point b) re-run now that
     // the frame either freed or restored resident. kInvalidFrame: nobody

@@ -25,6 +25,13 @@
 // always issued through it as asynchronous fills. A fill's frame stays
 // kFilling (unmapped, invisible to evictors) until its completion is reaped,
 // at which point it is published into the cache hash.
+//
+// msync(MS_ASYNC) — Advise(kWriteBack) — also ends here, as a keep-resident
+// writeback: the engine holds the range's dirty page numbers and sends them
+// to the device behind the next demand read, in the channel time that read
+// spends waiting out device latency anyway (DESIGN.md §8). Such a write
+// leaves its frame mapped and cached; the frame is kWritingBack until the
+// completion makes it kResident and clean.
 #ifndef AQUILA_SRC_CORE_WRITEBACK_H_
 #define AQUILA_SRC_CORE_WRITEBACK_H_
 
@@ -85,8 +92,18 @@ class WritebackPlanner {
   // wait for it and the lock is what keeps the owner alive across the write.
   void AddReclaim(const WritebackItem& item);
 
+  // Hands each item to its owner's AsyncWritebackEngine, in device-offset
+  // order. `keep_resident`: the frames were claimed kWritingBack with their
+  // translations left read-only (msync(MS_ASYNC)) and stay cached; otherwise
+  // they are reclaim victims that free on completion. Items whose submission
+  // fails at the machinery level (not an I/O error — those travel in
+  // completions) are restored dirty-in-place and charged to the owner; the
+  // first such error is returned. On return every item is either in flight
+  // or restored.
+  Status SubmitQueued(Vcpu& vcpu, bool keep_resident);
+
   // Submits and settles the reclaim victims; the caller then shoots down
-  // their translations and frees `to_free`. Async: SubmitAsync; frames free
+  // their translations and frees `to_free`. Async: SubmitQueued; frames free
   // when their completions reap. Sync: per owning mapping, one WritePages
   // call whose outcome is charged to that owner (NoteWritebackResult, like
   // Linux's mapping_set_error on the page's own address_space); a failed
@@ -102,13 +119,6 @@ class WritebackPlanner {
   size_t GroupEnd(size_t begin) const;
   // One batched WritePages call for items [begin, end) of one owner.
   Status WriteGroup(Vcpu& vcpu, size_t begin, size_t end);
-
-  // Hands each item to its owner's AsyncWritebackEngine. Items whose
-  // submission fails at the machinery level (not an I/O error — those
-  // travel in completions) are restored dirty-in-place and charged to the
-  // owner; the first such error is returned. On return every item is either
-  // in flight or restored.
-  Status SubmitAsync(Vcpu& vcpu);
 
   std::vector<WritebackItem> items_;
 };
@@ -151,11 +161,32 @@ class AsyncWritebackEngine {
   AsyncWritebackEngine(Aquila* runtime, AquilaMap* map, uint32_t depth);
   ~AsyncWritebackEngine();
 
-  // Submits one claimed dirty page (state kWritingBack, PTE removed, dirty
-  // bit cleared, cache mapping still present). Reaps completions to make
-  // room when the queue is full. A non-OK return means the submission
-  // machinery rejected the request — the caller must restore the frame.
-  Status SubmitWriteback(Vcpu& vcpu, const WritebackItem& item);
+  // Submits one claimed dirty page (state kWritingBack, dirty bit cleared,
+  // cache mapping still present). A reclaim victim's PTE is gone and its
+  // frame frees on success; a `keep_resident` page keeps a read-only PTE and
+  // turns kResident on success. Reaps completions to make room when the
+  // queue is full. A non-OK return means the submission machinery rejected
+  // the request — the caller must restore the frame.
+  Status SubmitWriteback(Vcpu& vcpu, const WritebackItem& item, bool keep_resident);
+
+  // msync(MS_ASYNC): holds `file_pages` (dirty pages of this mapping) for a
+  // keep-resident writeback. Holds page numbers, not frames, so a held page
+  // stays evictable and a store before its release is written with it. The
+  // pages are released — claimed, write-protected, shot down once per
+  // release and submitted (AquilaMap::WriteBackHeld) — behind a demand read
+  // (ReleaseBehindFill) and by Drain. At most the queue's depth are held:
+  // past it the oldest are let go, still dirty. A queue that completes at
+  // submission (the sync shim) gains nothing by holding, so there they are
+  // released at once.
+  void HoldWritebacks(Vcpu& vcpu, std::span<const uint64_t> file_pages);
+
+  // Releases as many held pages, oldest first, as the queue's channel can
+  // move before the demand fill for `key`, just submitted, completes: their
+  // writes then delay neither that read nor the next one.
+  void ReleaseBehindFill(Vcpu& vcpu, uint64_t key);
+
+  // True while any page is held; one relaxed load.
+  bool holding() const { return held_count_.load(std::memory_order_relaxed) != 0; }
 
   static constexpr uint32_t kMaxIdleWaitSteps = 1000;
 
@@ -220,10 +251,10 @@ class AsyncWritebackEngine {
   // True while any submission's completion is still unreaped.
   bool busy() const { return busy_.load(std::memory_order_acquire) != 0; }
 
-  // Reaps everything in flight, waiting as needed. Failed writebacks are
-  // restored dirty-in-place, so a caller that needs durability (msync,
-  // teardown) re-collects them and surfaces the error from its own
-  // synchronous pass.
+  // Releases every held page, then reaps everything in flight, waiting as
+  // needed. Failed writebacks are restored dirty-in-place, so a caller that
+  // needs durability (msync, teardown) re-collects them and surfaces the
+  // error from its own synchronous pass.
   size_t Drain(Vcpu& vcpu);
 
   uint32_t in_flight() const { return queue_->in_flight(); }
@@ -237,6 +268,7 @@ class AsyncWritebackEngine {
     Kind kind = Kind::kFree;
     bool demand = false;     // kFill an access waits for, not readahead
     bool published = false;  // kFill reaped into the hash; read by AwaitFill
+    bool keep = false;       // kWriteback whose page stays cached
     FrameId frame = kInvalidFrame;
     uint64_t key = 0;
     uint64_t sort_key = 0;
@@ -255,6 +287,9 @@ class AsyncWritebackEngine {
     uint64_t reaped = 0;
     uint32_t idle_steps = 0;
   };
+
+  // Moves up to `count` held pages, oldest first, into `out`.
+  void TakeHeldLocked(size_t count, std::vector<uint64_t>* out);
 
   // Finds a free slot, reaping (and waiting if necessary) when the queue is
   // saturated. Returns the slot index; the slot stays free until
@@ -317,6 +352,11 @@ class AsyncWritebackEngine {
   uint64_t reaped_ = 0;                                // guarded by lock_: completions
   uint64_t overlap_unflushed_ = 0;                     // guarded by lock_
   std::atomic<uint32_t> busy_{0};   // slots in use; written under lock_, read anywhere
+  // Held MS_ASYNC pages, oldest first (HoldWritebacks); guarded by lock_. The
+  // count is written under lock_ and read anywhere.
+  std::vector<uint64_t> held_;
+  std::atomic<uint32_t> held_count_{0};
+  const bool hold_writes_;  // the queue overlaps commands (not the sync shim)
   // Fills in flight by key residue (key % kFillResidues): bit r of the mask
   // is set while the count of residue r is nonzero, so a key whose bit is
   // clear has no fill in flight without scanning fill_keys_. A stream's

@@ -204,6 +204,16 @@ StatusOr<uint64_t> KreonDb::AppendLog(const Slice& key, const Slice& value, bool
   AQUILA_RETURN_IF_ERROR(map_->Write(
       start, std::span(reinterpret_cast<const uint8_t*>(record.data()), record.size())));
   log_head_ += record_bytes;
+  // Every page before the one that holds the new head is final: start its
+  // write now (msync(MS_ASYNC)), so Persist finds it clean. Crash-safe:
+  // recovery trusts only the superblock's log_head, so these bytes stay
+  // unreachable until a Persist commits them. Best effort — Persist writes
+  // whatever is still dirty.
+  const uint64_t final_from = AlignDown(start, kPageSize);
+  const uint64_t final_to = AlignDown(log_base_ + log_head_, kPageSize);
+  if (final_to > final_from) {
+    (void)map_->Advise(final_from, final_to - final_from, Advice::kWriteBack);
+  }
   return offset;
 }
 

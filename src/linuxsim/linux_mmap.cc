@@ -439,6 +439,10 @@ Status LinuxMap::Advise(uint64_t offset, uint64_t length, Advice advice) {
     case Advice::kSequential:
       advice_ = advice;
       return Status::Ok();
+    case Advice::kWriteBack:
+      // msync(MS_ASYNC): since Linux 2.6.19 the syscall itself does nothing;
+      // dirty pages go to the device with the flusher's next pass.
+      return Status::Ok();
     case Advice::kWillNeed: {
       uint64_t first = offset >> kPageShift;
       uint64_t last = (offset + length - 1) >> kPageShift;

@@ -90,6 +90,19 @@ class DeviceQueue {
     return UINT64_MAX;
   }
 
+  // How many `bytes`-long commands submitted at `now` would finish moving
+  // their data over the medium's channel by `deadline`, after what is already
+  // booked on it: the writes a caller can queue behind a read without
+  // delaying the next one, since they leave the channel before that read
+  // completes. 0 for a queue that models no channel (the shim completes at
+  // submission).
+  virtual uint32_t TransfersBy(uint64_t now, uint64_t deadline, uint64_t bytes) const {
+    (void)now;
+    (void)deadline;
+    (void)bytes;
+    return 0;
+  }
+
   // Best-effort cancellation of one in-flight command by its user_data.
   // Returns true when the command was withdrawn and its completion will
   // NEVER be delivered (the watchdog layer uses this to reclaim slots from

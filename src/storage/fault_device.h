@@ -216,6 +216,9 @@ class FaultInjectingQueue : public DeviceQueue {
   // Commands are forwarded under the caller's user_data; spiked ones held
   // back in delayed_ and hung ones report unknown.
   uint64_t ReadyAt(uint64_t user_data) const override { return inner_->ReadyAt(user_data); }
+  uint32_t TransfersBy(uint64_t now, uint64_t deadline, uint64_t bytes) const override {
+    return inner_->TransfersBy(now, deadline, bytes);
+  }
 
   // Hung commands were swallowed before the medium, so withdrawal is real:
   // the completion will never be delivered. Returns true for those only.

@@ -35,6 +35,15 @@ uint64_t NvmeController::ReserveMedia(uint64_t arrival, NvmeOpcode opcode, uint6
   return channel_done + latency;
 }
 
+uint32_t NvmeController::TransfersBy(uint64_t arrival, uint64_t deadline, uint64_t bytes) const {
+  if (deadline <= arrival) {
+    return 0;
+  }
+  const uint64_t transfer =
+      options_.channel_cycles_per_4k * ((bytes + kPageSize - 1) / kPageSize);
+  return static_cast<uint32_t>(channel_.FreeCyclesBy(arrival, deadline) / transfer);
+}
+
 NvmeQueuePair::NvmeQueuePair(NvmeController* controller, uint32_t depth)
     : controller_(controller), depth_(depth), slots_(depth) {}
 

@@ -78,6 +78,9 @@ class NvmeController {
 
   // Books media/channel time for one command; returns its completion time.
   uint64_t ReserveMedia(uint64_t arrival, NvmeOpcode opcode, uint64_t bytes);
+  // Commands of `bytes` arriving at `arrival` whose transfers the channel
+  // can finish by `deadline` (DeviceQueue::TransfersBy).
+  uint32_t TransfersBy(uint64_t arrival, uint64_t deadline, uint64_t bytes) const;
 
  private:
   Options options_;
@@ -144,6 +147,9 @@ class NvmeDeviceQueue : public DeviceQueue {
   uint32_t Poll(Vcpu& vcpu, std::vector<Completion>* out) override;
   uint64_t NextReadyAt() const override { return next_ready_at_; }
   uint64_t ReadyAt(uint64_t user_data) const override;
+  uint32_t TransfersBy(uint64_t now, uint64_t deadline, uint64_t bytes) const override {
+    return controller_->TransfersBy(now, deadline, bytes);
+  }
 
  private:
   static constexpr uint64_t kFree = UINT64_MAX;  // ready_at_ of a free slot

@@ -142,6 +142,27 @@ uint64_t SerializedResource::Reserve(uint64_t arrival, uint64_t service_cycles) 
   return completion;
 }
 
+uint64_t SerializedResource::FreeCyclesBy(uint64_t arrival, uint64_t deadline) const {
+  // Reserve's walk without the CAS: a portion taken in window `epoch` ends at
+  // epoch * window_ + used + take, which must not pass the deadline.
+  uint64_t free = 0;
+  for (uint64_t epoch = arrival / window_; epoch * window_ < deadline; epoch++) {
+    const uint64_t packed = buckets_[epoch % kBuckets].load(std::memory_order_acquire);
+    uint64_t used = 0;
+    if (EpochOf(packed) == epoch) {
+      used = UsedOf(packed);
+    } else if (EpochOf(packed) > epoch) {
+      used = window_;  // wrapped past: Reserve treats it as full
+    }
+    const uint64_t begin = epoch * window_ + used;
+    const uint64_t end = std::min(deadline, (epoch + 1) * window_);
+    if (end > begin) {
+      free += end - begin;
+    }
+  }
+  return free;
+}
+
 void SerializedResource::Reset() {
   for (size_t i = 0; i < kBuckets; i++) {
     buckets_[i].store(Pack(0, 0), std::memory_order_relaxed);

@@ -135,6 +135,11 @@ class SerializedResource {
   // when it polls for the completion.
   uint64_t Reserve(uint64_t arrival, uint64_t service_cycles);
 
+  // Server capacity, in cycles, that requests arriving at `arrival` could
+  // still book and finish by `deadline`, given what is already reserved.
+  // Books nothing.
+  uint64_t FreeCyclesBy(uint64_t arrival, uint64_t deadline) const;
+
   // Total cycles threads spent queueing on this resource.
   uint64_t TotalQueueingCycles() const { return queueing_.load(std::memory_order_relaxed); }
   uint64_t TotalServiceCycles() const { return service_.load(std::memory_order_relaxed); }

@@ -1561,5 +1561,262 @@ TEST_F(ReadaheadStreamTest, ConcurrentMultiPageReadsUnderEvictionSeeTheDevice) {
   EXPECT_EQ(runtime.cache().ApproxFreeFrames(), kPages / 4);
 }
 
+// --- msync(MS_ASYNC): Advise(kWriteBack) ----------------------------------------
+//
+// The mapping holds the advised dirty pages and writes them behind the next
+// demand read, keeping them cached (DESIGN.md §8).
+class MsAsyncTest : public ::testing::Test {
+ protected:
+  static constexpr uint64_t kDeviceBytes = 8ull << 20;
+  static constexpr uint64_t kMapBytes = 4ull << 20;
+
+  MsAsyncTest() {
+    NvmeController::Options ctrl_options;
+    ctrl_options.capacity_bytes = kDeviceBytes;
+    ctrl_ = std::make_unique<NvmeController>(ctrl_options);
+    nvme_ = std::make_unique<NvmeDevice>(ctrl_.get());
+  }
+
+  static Aquila::Options Options(uint64_t cache_pages) {
+    Aquila::Options options;
+    options.hypervisor.host_memory_bytes = 64ull << 20;
+    options.cache.capacity_pages = cache_pages;
+    options.cache.max_pages = cache_pages;
+    options.cache.eviction_batch = 16;
+    return options;
+  }
+
+  uint64_t FlashWord(uint64_t offset) const {
+    uint64_t word;
+    std::memcpy(&word, ctrl_->flash() + offset, sizeof(word));
+    return word;
+  }
+
+  // Dirties pages [0, pages) with one word each: the page number plus `tag`.
+  static void DirtyPages(MemoryMap* map, uint64_t pages, uint64_t tag) {
+    for (uint64_t p = 0; p < pages; p++) {
+      map->StoreValue<uint64_t>(p * kPageSize, p + tag);
+    }
+  }
+
+  static Frame& FrameOf(Aquila& runtime, MemoryMap* map, uint64_t offset) {
+    const uint64_t vaddr =
+        (static_cast<AquilaMap*>(map)->vma().start_page << kPageShift) + offset;
+    return runtime.cache().frame(
+        static_cast<FrameId>(Pte::Gpa(runtime.page_table().Lookup(vaddr)) >> kPageShift));
+  }
+
+  std::unique_ptr<NvmeController> ctrl_;
+  std::unique_ptr<NvmeDevice> nvme_;
+};
+
+// Simulated cycles of one cold TouchRead, less the host-measured shares
+// (cache management and dirty tracking), which a loaded machine inflates.
+uint64_t TimedColdRead(MemoryMap* map, uint64_t offset) {
+  SimClock& clock = ThisVcpu().clock();
+  const uint64_t start = clock.Now();
+  const CostBreakdown before = clock.Breakdown();
+  AQUILA_CHECK(map->TouchRead(offset).faulted);
+  const CostBreakdown spent = clock.Breakdown() - before;
+  return clock.Now() - start - spent[CostCategory::kCacheMgmt] -
+         spent[CostCategory::kDirtyTracking];
+}
+
+TEST_F(MsAsyncTest, HeldPagesGoOutBehindAReadWithoutDelayingIt) {
+  DeviceBacking backing(nvme_.get(), 0, kMapBytes);
+  Aquila runtime(Options(1024));
+  StatusOr<MemoryMap*> map = runtime.Map(&backing, kMapBytes, kProtRead | kProtWrite);
+  ASSERT_TRUE(map.ok());
+  const uint64_t unheld = TimedColdRead(*map, 200 * kPageSize);
+
+  constexpr uint64_t kHeld = 8;
+  DirtyPages(*map, kHeld, 1);
+  ASSERT_TRUE((*map)->Advise(0, kHeld * kPageSize, Advice::kWriteBack).ok());
+  // Held, not written: nothing reached the queue yet.
+  EXPECT_EQ(runtime.cache().TotalDirty(), kHeld);
+  EXPECT_EQ(runtime.fault_stats().writeback_pages.load(), 0u);
+
+  const uint64_t held = TimedColdRead(*map, 300 * kPageSize);
+  const uint64_t transfer = ctrl_->options().channel_cycles_per_4k;
+  EXPECT_LE(held, unheld + transfer) << "nothing held: " << unheld;
+  // The read's device latency covers at least latency / transfer page
+  // writes (the channel model may fit a few more into the read's window).
+  const uint64_t behind = ctrl_->options().read_latency_cycles / transfer;
+  EXPECT_LE(runtime.cache().TotalDirty(), kHeld - behind);
+
+  // The written pages stayed cached: touching them takes no fault.
+  const uint64_t majors = runtime.fault_stats().major_faults.load();
+  for (uint64_t p = 0; p < kHeld; p++) {
+    EXPECT_EQ((*map)->LoadValue<uint64_t>(p * kPageSize), p + 1);
+  }
+  EXPECT_EQ(runtime.fault_stats().major_faults.load(), majors);
+  ASSERT_TRUE(runtime.Unmap(*map).ok());
+  for (uint64_t p = 0; p < kHeld; p++) {
+    EXPECT_EQ(FlashWord(p * kPageSize), p + 1) << "page " << p;
+  }
+}
+
+TEST_F(MsAsyncTest, SyncAndUnmapWriteEveryHeldPage) {
+  DeviceBacking backing(nvme_.get(), 0, kMapBytes);
+  Aquila runtime(Options(1024));
+  StatusOr<MemoryMap*> map = runtime.Map(&backing, kMapBytes, kProtRead | kProtWrite);
+  ASSERT_TRUE(map.ok());
+  constexpr uint64_t kHeld = 12;
+  DirtyPages(*map, kHeld, 100);
+  ASSERT_TRUE((*map)->Advise(0, kHeld * kPageSize, Advice::kWriteBack).ok());
+  // An msync of an unrelated, clean range drains the engine, held pages
+  // included; they stay cached.
+  ASSERT_TRUE((*map)->Sync(500 * kPageSize, kPageSize).ok());
+  EXPECT_EQ(runtime.cache().TotalDirty(), 0u);
+  EXPECT_EQ(runtime.fault_stats().writeback_pages.load(), kHeld);
+  for (uint64_t p = 0; p < kHeld; p++) {
+    EXPECT_EQ(FlashWord(p * kPageSize), p + 100) << "page " << p;
+  }
+  const uint64_t majors = runtime.fault_stats().major_faults.load();
+  EXPECT_EQ((*map)->LoadValue<uint64_t>(0), 100u);
+  EXPECT_EQ(runtime.fault_stats().major_faults.load(), majors);
+
+  DirtyPages(*map, kHeld, 200);
+  ASSERT_TRUE((*map)->Advise(0, kHeld * kPageSize, Advice::kWriteBack).ok());
+  ASSERT_TRUE(runtime.Unmap(*map).ok());
+  for (uint64_t p = 0; p < kHeld; p++) {
+    EXPECT_EQ(FlashWord(p * kPageSize), p + 200) << "page " << p;
+  }
+  EXPECT_EQ(runtime.cache().ApproxFreeFrames(), 1024u);
+}
+
+// Past the queue's depth the oldest held pages are let go still dirty: no
+// read hides their writes, so msync writes them instead.
+TEST_F(MsAsyncTest, PagesPastTheQueueDepthAreLeftToMsync) {
+  DeviceBacking backing(nvme_.get(), 0, kMapBytes);
+  Aquila::Options options = Options(1024);
+  options.async_queue_depth = 8;
+  Aquila runtime(options);
+  StatusOr<MemoryMap*> map = runtime.Map(&backing, kMapBytes, kProtRead | kProtWrite);
+  ASSERT_TRUE(map.ok());
+  constexpr uint64_t kDirty = 12;
+  DirtyPages(*map, kDirty, 7);
+  ASSERT_TRUE((*map)->Advise(0, kDirty * kPageSize, Advice::kWriteBack).ok());
+  for (uint64_t i = 0; i < 8; i++) {
+    EXPECT_TRUE((*map)->TouchRead((300 + i) * kPageSize).faulted);
+  }
+  EXPECT_EQ(runtime.cache().TotalDirty(), kDirty - 8);
+  for (uint64_t p = 0; p < kDirty - 8; p++) {
+    EXPECT_NE(FlashWord(p * kPageSize), p + 7) << "page " << p;
+  }
+  ASSERT_TRUE((*map)->Sync(0, kMapBytes).ok());
+  for (uint64_t p = 0; p < kDirty; p++) {
+    EXPECT_EQ(FlashWord(p * kPageSize), p + 7) << "page " << p;
+  }
+  ASSERT_TRUE(runtime.Unmap(*map).ok());
+}
+
+// A store to a page whose background write is in flight takes the
+// write-upgrade fault and re-dirties it; the next msync writes the store.
+TEST_F(MsAsyncTest, StoreDuringBackgroundWriteReachesTheDeviceAfterSync) {
+  DeviceBacking backing(nvme_.get(), 0, kMapBytes);
+  Aquila runtime(Options(1024));
+  StatusOr<MemoryMap*> map = runtime.Map(&backing, kMapBytes, kProtRead | kProtWrite);
+  ASSERT_TRUE(map.ok());
+  (*map)->StoreValue<uint64_t>(0, 1);
+  ASSERT_TRUE((*map)->Advise(0, kPageSize, Advice::kWriteBack).ok());
+  EXPECT_TRUE((*map)->TouchRead(100 * kPageSize).faulted);  // the write follows it
+  Frame& frame = FrameOf(runtime, *map, 0);
+  ASSERT_EQ(frame.state.load(), FrameState::kWritingBack);
+  (*map)->StoreValue<uint64_t>(0, 2);
+  EXPECT_EQ(frame.state.load(), FrameState::kWritingBack);
+  EXPECT_EQ(runtime.cache().TotalDirty(), 1u);
+  ASSERT_TRUE((*map)->Sync(0, kPageSize).ok());
+  EXPECT_EQ(FlashWord(0), 2u);
+  EXPECT_EQ(frame.state.load(), FrameState::kResident);
+  EXPECT_EQ(runtime.cache().TotalDirty(), 0u);
+  ASSERT_TRUE(runtime.Unmap(*map).ok());
+  EXPECT_EQ(runtime.cache().ApproxFreeFrames(), 1024u);
+}
+
+// Stores, background writes behind reads, msyncs and evictions all at once:
+// each page's last store is on the device after a final msync.
+TEST_F(MsAsyncTest, StoresDuringBackgroundWritesSurviveSyncAndEviction) {
+  constexpr uint64_t kHot = 8;
+  constexpr uint64_t kPages = kMapBytes / kPageSize;
+  constexpr uint64_t kRounds = 3000;
+  DeviceBacking backing(nvme_.get(), 0, kMapBytes);
+  Aquila runtime(Options(kPages / 8));
+  StatusOr<MemoryMap*> map = runtime.Map(&backing, kMapBytes, kProtRead | kProtWrite);
+  ASSERT_TRUE(map.ok());
+  std::atomic<bool> done{false};
+  std::atomic<uint64_t> failed{0};
+  std::thread writer([&] {
+    runtime.EnterThread();
+    Rng rng(7);
+    for (uint64_t round = 1; round <= kRounds; round++) {
+      const uint64_t page = round % kHot;
+      (*map)->StoreValue<uint64_t>(page * kPageSize, round);
+      if (!(*map)->Advise(page * kPageSize, kPageSize, Advice::kWriteBack).ok() ||
+          !(*map)->TouchRead((kHot + rng.Uniform(kPages - kHot)) * kPageSize).ok()) {
+        failed.fetch_add(1);
+      }
+    }
+    done.store(true);
+  });
+  std::thread syncer([&] {
+    runtime.EnterThread();
+    while (!done.load()) {
+      if (!(*map)->Sync(0, kHot * kPageSize).ok()) {
+        failed.fetch_add(1);
+      }
+    }
+  });
+  std::thread evictor([&] {
+    runtime.EnterThread();
+    Rng rng(11);
+    while (!done.load()) {
+      if (!(*map)->TouchRead(rng.Uniform(kPages) * kPageSize).ok()) {
+        failed.fetch_add(1);
+      }
+    }
+  });
+  writer.join();
+  syncer.join();
+  evictor.join();
+  EXPECT_EQ(failed.load(), 0u);
+  ASSERT_TRUE((*map)->Sync(0, kHot * kPageSize).ok());
+  for (uint64_t page = 0; page < kHot; page++) {
+    const uint64_t last = kRounds - (kRounds - page) % kHot;
+    EXPECT_EQ(FlashWord(page * kPageSize), last) << "page " << page;
+  }
+  EXPECT_EQ(runtime.cache().TotalDirty(), 0u);
+  EXPECT_GT(runtime.fault_stats().evicted_pages.load(), 0u);
+  ASSERT_TRUE(runtime.Unmap(*map).ok());
+  EXPECT_EQ(runtime.cache().ApproxFreeFrames(), kPages / 8);
+}
+
+// A failed background write re-dirties its page; the next msync retries it
+// synchronously and reports the error while the device keeps failing.
+TEST_F(MsAsyncTest, FailedBackgroundWriteIsRedirtiedAndSurfacedBySync) {
+  // Write attempt 1 is the background write; 2-4 are msync's whole retry
+  // budget; 5 succeeds.
+  FaultInjectingDevice::Options fault_options;
+  fault_options.fail_writes = {1, 2, 3, 4};
+  FaultInjectingDevice faults(nvme_.get(), fault_options);
+  DeviceBacking backing(&faults, 0, kMapBytes);
+  Aquila runtime(Options(1024));
+  StatusOr<MemoryMap*> map = runtime.Map(&backing, kMapBytes, kProtRead | kProtWrite);
+  ASSERT_TRUE(map.ok());
+  (*map)->StoreValue<uint64_t>(0, 42);
+  ASSERT_TRUE((*map)->Advise(0, kPageSize, Advice::kWriteBack).ok());
+  // The injected failure completes at once, so the read's wait reaps it.
+  EXPECT_TRUE((*map)->TouchRead(100 * kPageSize).faulted);
+  EXPECT_EQ(faults.fault_stats().injected_write_errors.load(), 1u);
+  EXPECT_EQ(runtime.cache().TotalDirty(), 1u);
+  EXPECT_EQ((*map)->Sync(0, kPageSize).code(), StatusCode::kIoError);
+  EXPECT_EQ(runtime.cache().TotalDirty(), 1u);
+  ASSERT_TRUE((*map)->Sync(0, kPageSize).ok());
+  EXPECT_EQ(FlashWord(0), 42u);
+  EXPECT_EQ(runtime.cache().TotalDirty(), 0u);
+  ASSERT_TRUE(runtime.Unmap(*map).ok());
+  EXPECT_EQ(runtime.cache().ApproxFreeFrames(), 1024u);
+}
+
 }  // namespace
 }  // namespace aquila

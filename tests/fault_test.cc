@@ -906,5 +906,72 @@ TEST_F(KreonCrashTest, CorruptSuperblockFailsRecoveryThenHealsWhenRestored) {
   EXPECT_EQ(value, "v42");
 }
 
+// Kreon writes each finished log page in the background (msync(MS_ASYNC))
+// long before the Persist that commits it. A power cut in between must
+// recover exactly the last acknowledged Persist: recovery trusts only the
+// superblock's log_head, so the early log bytes stay unreachable.
+TEST(KreonPowerCutTest, BackgroundLogWritesBeforePersistRecoverTheLastPersist) {
+  constexpr uint64_t kDeviceBytes = 32ull << 20;
+  NvmeController::Options ctrl_options;
+  ctrl_options.capacity_bytes = kDeviceBytes;
+  NvmeController controller(ctrl_options);
+  NvmeDevice nvme(&controller);
+  DeviceBacking backing(&nvme, 0, kDeviceBytes);
+  Aquila::Options options;
+  options.hypervisor.host_memory_bytes = 128ull << 20;
+  options.cache.capacity_pages = 16384;  // the whole store: no eviction writes
+  options.cache.max_pages = 16384;
+  auto runtime = std::make_unique<Aquila>(options);
+  StatusOr<MemoryMap*> map = runtime->Map(&backing, kDeviceBytes, kProtRead | kProtWrite);
+  ASSERT_TRUE(map.ok());
+  auto key = [](const char* prefix, int i) { return prefix + std::to_string(i); };
+  const std::string value(700, 'v');
+
+  auto db = KreonDb::Open(*map, KreonDb::Options{});
+  ASSERT_TRUE(db.ok());
+  constexpr int kAcked = 400;
+  for (int i = 0; i < kAcked; i++) {
+    ASSERT_TRUE((*db)->Put(key("acked", i), value + std::to_string(i)).ok());
+  }
+  ASSERT_TRUE((*db)->Persist().ok());
+  // Cold tree pages: every Put below reads them back, and the finished log
+  // pages' writes go to the device behind those reads.
+  ASSERT_TRUE((*map)->Advise(0, kDeviceBytes, Advice::kDontNeed).ok());
+  const uint64_t written = runtime->fault_stats().writeback_pages.load();
+  for (int i = 0; i < 300; i++) {
+    ASSERT_TRUE((*db)->Put(key("lost", i), value).ok());
+    ASSERT_TRUE((*db)->Put(key("acked", i), "overwritten").ok());
+  }
+  ASSERT_GT(runtime->fault_stats().writeback_pages.load(), written)
+      << "no log page reached the device before the cut";
+
+  // Power cut: the medium as it stands, with none of the cached state.
+  NvmeController rebooted(ctrl_options);
+  std::memcpy(rebooted.flash(), controller.flash(), kDeviceBytes);
+  NvmeDevice nvme2(&rebooted);
+  DeviceBacking backing2(&nvme2, 0, kDeviceBytes);
+  Aquila runtime2(options);
+  StatusOr<MemoryMap*> map2 = runtime2.Map(&backing2, kDeviceBytes, kProtRead | kProtWrite);
+  ASSERT_TRUE(map2.ok());
+  {
+    auto recovered = KreonDb::Open(*map2, KreonDb::Options{});
+    ASSERT_TRUE(recovered.ok());
+    EXPECT_EQ((*recovered)->entries(), static_cast<uint64_t>(kAcked));
+    int seen = 0;
+    ASSERT_TRUE((*recovered)
+                    ->Scan("", 1 << 20,
+                           [&](const Slice& k, const Slice& v) {
+                             const std::string name(k.data(), k.size());
+                             EXPECT_EQ(name.rfind("acked", 0), 0u) << name;
+                             EXPECT_EQ(std::string(v.data(), v.size()),
+                                       value + name.substr(5));
+                             seen++;
+                           })
+                    .ok());
+    EXPECT_EQ(seen, kAcked);
+  }
+  ASSERT_TRUE(runtime2.Unmap(*map2).ok());
+}
+
 }  // namespace
 }  // namespace aquila

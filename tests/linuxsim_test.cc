@@ -125,6 +125,31 @@ TEST_F(LinuxSimTest, MsyncWritesBack) {
   ASSERT_TRUE(engine->Unmap(*map).ok());
 }
 
+// msync(MS_ASYNC) as Linux has done it since 2.6.19: the syscall, nothing
+// else. The page stays dirty and the device untouched.
+TEST_F(LinuxSimTest, WriteBackAdviceOnlyChargesTheSyscall) {
+  auto engine = MakeEngine(1024);
+  auto map = engine->Map(backing_.get(), 1 << 20, kProtRead | kProtWrite);
+  ASSERT_TRUE(map.ok());
+  std::vector<uint8_t> data(4096, 0xED);
+  ASSERT_TRUE((*map)->Write(3 * 4096, std::span<const uint8_t>(data)).ok());
+  Vcpu& vcpu = ThisVcpu();
+  const Vcpu::Counters counters = vcpu.counters();
+  const CostBreakdown before = vcpu.clock().Breakdown();
+  const uint64_t start = vcpu.clock().Now();
+  ASSERT_TRUE((*map)->Advise(0, 1 << 20, Advice::kWriteBack).ok());
+  const CostBreakdown spent = vcpu.clock().Breakdown() - before;
+  EXPECT_EQ(vcpu.counters().syscalls, counters.syscalls + 1);
+  EXPECT_EQ(vcpu.counters().ring3_traps, counters.ring3_traps);
+  EXPECT_EQ(vcpu.clock().Now() - start, spent[CostCategory::kSyscall]);
+  EXPECT_EQ(engine->stats().writeback_pages.load(), 0u);
+  EXPECT_NE(device_->dax_base()[3 * 4096], 0xED);
+  ASSERT_TRUE((*map)->Sync(0, 1 << 20).ok());
+  EXPECT_EQ(engine->stats().writeback_pages.load(), 1u);
+  EXPECT_EQ(device_->dax_base()[3 * 4096], 0xED);
+  ASSERT_TRUE(engine->Unmap(*map).ok());
+}
+
 TEST_F(LinuxSimTest, UnmapFlushesDirty) {
   auto engine = MakeEngine(1024);
   auto map = engine->Map(backing_.get(), 1 << 20, kProtRead | kProtWrite);
