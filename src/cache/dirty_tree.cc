@@ -79,21 +79,15 @@ size_t DirtyTreeSet::CollectBatch(int start_core, size_t max, DirtyItem** out) {
   return n;
 }
 
-void DirtyTreeSet::CollectRange(uint64_t lo, uint64_t hi, std::vector<DirtyItem*>* out) {
-  for (PerCore& pc : cores_) {
+void DirtyTreeSet::ItemsInRange(uint64_t lo, uint64_t hi, std::vector<DirtyItem*>* out) const {
+  for (const PerCore& pc : cores_) {
     std::lock_guard<SpinLock> guard(pc.lock);
-    RbNode* node = pc.tree.LowerBound(lo);
-    while (node != nullptr) {
+    for (RbNode* node = pc.tree.LowerBound(lo); node != nullptr; node = RbTree<KeyOf>::Next(node)) {
       DirtyItem* item = ItemOf(node);
       if (item->sort_key > hi) {
         break;
       }
-      RbNode* next = RbTree<KeyOf>::Next(node);
-      pc.tree.Remove(node);
-      // Release for the same claim-less handoff reason as CollectBatch.
-      item->owner_core.store(-1, std::memory_order_release);
       out->push_back(item);
-      node = next;
     }
   }
 }

@@ -51,8 +51,10 @@ class DirtyTreeSet {
   // Claimed items are unlinked; returns the count.
   size_t CollectBatch(int start_core, size_t max, DirtyItem** out);
 
-  // Claims every item with sort_key in [lo, hi] (msync over one mapping).
-  void CollectRange(uint64_t lo, uint64_t hi, std::vector<DirtyItem*>* out);
+  // Appends every item with sort_key in [lo, hi] to `out` and leaves it
+  // linked (msync reads one mapping's dirty pages; each page's own claim
+  // decides what is written).
+  void ItemsInRange(uint64_t lo, uint64_t hi, std::vector<DirtyItem*>* out) const;
 
   size_t TotalDirty() const;
 

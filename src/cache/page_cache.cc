@@ -45,11 +45,18 @@ PageCache::PageCache(Hypervisor* hypervisor, int guest, Vcpu& vcpu, const Option
 
 bool PageCache::Lookup(uint64_t key, FrameId* frame) {
   stats_.lookups.fetch_add(1, std::memory_order_relaxed);
+  if (!Peek(key, frame)) {
+    return false;
+  }
+  stats_.lookup_hits.fetch_add(1, std::memory_order_relaxed);
+  return true;
+}
+
+bool PageCache::Peek(uint64_t key, FrameId* frame) const {
   uint64_t value;
   if (!hash_.Lookup(key, &value)) {
     return false;
   }
-  stats_.lookup_hits.fetch_add(1, std::memory_order_relaxed);
   *frame = static_cast<FrameId>(value);
   return true;
 }
@@ -269,9 +276,9 @@ size_t PageCache::CollectDirtyBatch(int start_core, size_t max, FrameId* out) {
   return n;
 }
 
-void PageCache::CollectDirtyRange(uint64_t lo, uint64_t hi, std::vector<FrameId>* out) {
+void PageCache::DirtyFramesInRange(uint64_t lo, uint64_t hi, std::vector<FrameId>* out) const {
   std::vector<DirtyItem*> items;
-  dirty_.CollectRange(lo, hi, &items);
+  dirty_.ItemsInRange(lo, hi, &items);
   out->reserve(out->size() + items.size());
   for (DirtyItem* item : items) {
     Frame* f = reinterpret_cast<Frame*>(reinterpret_cast<char*>(item) -

@@ -120,7 +120,13 @@ class PageCache {
   PageCache& operator=(const PageCache&) = delete;
 
   // --- Lookup / mapping bookkeeping (lock-free) --------------------------------
+  // A fault's lookup: counted in `lookups` and `lookup_hits`, so
+  // aquila.cache.lookup_hits / lookups is the share of faults served from
+  // the cache.
   bool Lookup(uint64_t key, FrameId* frame);
+  // The same lookup uncounted, for control paths (advice, msync, the
+  // held-page release, teardown).
+  bool Peek(uint64_t key, FrameId* frame) const;
   bool InsertMapping(uint64_t key, FrameId frame);
   bool RemoveMapping(uint64_t key);
   // Prefetches the hash home slot of `key` for writing: eviction issues it
@@ -217,7 +223,10 @@ class PageCache {
   void MarkDirty(int core, FrameId id, uint64_t sort_key);
   void ClearDirty(FrameId id);
   size_t CollectDirtyBatch(int start_core, size_t max, FrameId* out);
-  void CollectDirtyRange(uint64_t lo, uint64_t hi, std::vector<FrameId>* out);
+  // Appends the frames whose dirty items have sort keys in [lo, hi]; the
+  // items stay linked. A frame read here is only a hint: its owner may clean,
+  // evict or recycle it at any time, so callers re-validate after a claim.
+  void DirtyFramesInRange(uint64_t lo, uint64_t hi, std::vector<FrameId>* out) const;
   size_t TotalDirty() const { return dirty_.TotalDirty(); }
 
   // --- Dynamic resizing (operation ⑤) -----------------------------------------------

@@ -67,24 +67,27 @@ Status BlockDevice::RunWithRetries(Vcpu& vcpu, Op&& op) {
       }
       return status;
     }
-    // Delayed requeue: the device is left alone for a backoff window drawn
-    // with decorrelated jitter — uniform in [initial, min(cap, mult * prev)]
-    // — so concurrent retriers desynchronize instead of re-colliding. The
-    // draw hashes a per-device sequence number: deterministic per run,
-    // thread-safe without a shared generator.
-    uint64_t lo = retry_policy_.initial_backoff_cycles;
-    uint64_t hi = std::min<uint64_t>(retry_policy_.max_backoff_cycles,
-                                     backoff * retry_policy_.backoff_multiplier);
-    if (hi > lo) {
-      uint64_t draw =
-          FnvHash64(retry_jitter_seq_.fetch_add(1, std::memory_order_relaxed) + 1);
-      backoff = lo + draw % (hi - lo + 1);
-    } else {
-      backoff = lo;
-    }
-    vcpu.clock().Charge(CostCategory::kIdle, backoff);
-    stats_.io_retries.fetch_add(1, std::memory_order_relaxed);
+    backoff = BackOff(vcpu, backoff);
   }
+}
+
+uint64_t BlockDevice::BackOff(Vcpu& vcpu, uint64_t prev) {
+  // Delayed requeue: the device is left alone for a backoff window drawn
+  // with decorrelated jitter — uniform in [initial, min(cap, mult * prev)]
+  // — so concurrent retriers desynchronize instead of re-colliding. The
+  // draw hashes a per-device sequence number: deterministic per run,
+  // thread-safe without a shared generator.
+  uint64_t lo = retry_policy_.initial_backoff_cycles;
+  uint64_t hi = std::min<uint64_t>(retry_policy_.max_backoff_cycles,
+                                   prev * retry_policy_.backoff_multiplier);
+  uint64_t backoff = lo;
+  if (hi > lo) {
+    uint64_t draw = FnvHash64(retry_jitter_seq_.fetch_add(1, std::memory_order_relaxed) + 1);
+    backoff = lo + draw % (hi - lo + 1);
+  }
+  vcpu.clock().Charge(CostCategory::kIdle, backoff);
+  stats_.io_retries.fetch_add(1, std::memory_order_relaxed);
+  return backoff;
 }
 
 Status BlockDevice::ValidateRange(uint64_t offset, uint64_t size) const {

@@ -113,6 +113,12 @@ class BlockDevice {
 
   const RetryPolicy& retry_policy() const { return retry_policy_; }
   void set_retry_policy(const RetryPolicy& policy) { retry_policy_ = policy; }
+  // One retry step of the policy: draws the backoff that follows `prev`
+  // (initial_backoff_cycles before the first retry), charges it to `vcpu`,
+  // counts it in io_retries and returns it. The synchronous entry points
+  // take it between attempts, and the async engine before it resubmits a
+  // failed write that msync or unmap waits on.
+  uint64_t BackOff(Vcpu& vcpu, uint64_t prev);
 
   // Per-device health state machine (passive until Enable()d by a watchdog
   // layer). The label is attached lazily so the derived name() is resolvable.

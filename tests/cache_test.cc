@@ -414,7 +414,7 @@ TEST(DirtyTreeTest, CollectBatchSortedRuns) {
   }
 }
 
-TEST(DirtyTreeTest, CollectRange) {
+TEST(DirtyTreeTest, ItemsInRangeLeavesItemsLinked) {
   DirtyTreeSet set;
   std::vector<DirtyItem> items(20);
   for (size_t i = 0; i < items.size(); i++) {
@@ -422,11 +422,17 @@ TEST(DirtyTreeTest, CollectRange) {
     set.Insert(static_cast<int>(i % 4), &items[i]);
   }
   std::vector<DirtyItem*> out;
-  set.CollectRange(5, 9, &out);
+  set.ItemsInRange(5, 9, &out);
   EXPECT_EQ(out.size(), 5u);
   for (DirtyItem* item : out) {
     EXPECT_GE(item->sort_key, 5u);
     EXPECT_LE(item->sort_key, 9u);
+    EXPECT_TRUE(item->node.linked);
+  }
+  EXPECT_EQ(set.TotalDirty(), 20u);
+  // Still linked, so still removable exactly once.
+  for (DirtyItem* item : out) {
+    set.Remove(item);
   }
   EXPECT_EQ(set.TotalDirty(), 15u);
 }
