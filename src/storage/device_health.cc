@@ -330,7 +330,12 @@ Status WatchdogQueue::SubmitLeg(Vcpu& vcpu, uint64_t op_id, Op& op, bool hedge) 
     // here would silently stretch the attempt to HedgeDelay + timeout and
     // delay timeout detection for exactly the ops that are already slow.
     op.attempts++;
-    op.deadline = vcpu.clock().Now() + options_.timeout_cycles;
+    // From the medium's promised completion (now, for a swallowed command):
+    // a lagging thread's clock finds the channel booked far past it by other
+    // threads' bursts, and that queueing is not silence.
+    const uint64_t ready = inner_->ReadyAt(token);
+    op.deadline = std::max(vcpu.clock().Now(), ready == UINT64_MAX ? 0 : ready) +
+                  options_.timeout_cycles;
   }
   op.resubmit_at = 0;
   return s;

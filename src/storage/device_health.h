@@ -167,7 +167,9 @@ std::string DeviceHealthRegistryJson();
 class WatchdogQueue : public DeviceQueue {
  public:
   struct Options {
-    // Per-attempt completion deadline in simulated cycles (> 0).
+    // Per-attempt completion deadline in simulated cycles (> 0), counted
+    // from the inner queue's promised ready time (DeviceQueue::ReadyAt) when
+    // it has one, else from submission.
     uint64_t timeout_cycles = 0;
     // Total submissions per op, the first included.
     uint32_t max_attempts = 3;

@@ -349,6 +349,7 @@ bool FaultInjectingQueue::Cancel(uint64_t user_data) {
     return false;
   }
   hung_.erase(it);
+  device_->fault_stats_.cancelled_hangs.fetch_add(1, std::memory_order_relaxed);
   // The command is gone for good: balance its NoteSubmit.
   NoteComplete();
   return true;

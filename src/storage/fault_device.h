@@ -92,6 +92,8 @@ class FaultInjectingDevice : public BlockDevice {
     std::atomic<uint64_t> torn_writes{0};
     std::atomic<uint64_t> latency_spikes{0};
     std::atomic<uint64_t> injected_hangs{0};
+    // Swallowed commands a watchdog withdrew (Cancel): hangs it handled.
+    std::atomic<uint64_t> cancelled_hangs{0};
     // Sum of the above error categories; exported to the telemetry
     // registry so fault runs are visible next to io_retries/io_gave_up.
     std::atomic<uint64_t> total_injected{0};
